@@ -12,7 +12,9 @@
 //   max_threads  thread counts 1, 2, 4, ... up to this value (default 1)
 //   --check      CI parity smoke: exit nonzero unless cache-on matches
 //                cache-off to 1e-12 relative on every packed entry, for
-//                every grid and thread count.
+//                every grid and thread count, and cache-on assembly is
+//                bitwise identical across thread counts, cold and warm
+//                (the planned path's determinism contract).
 //   --warm       cross-candidate mode: run a ladder of uniform grids of
 //                growing extent (fixed 5 m cell size) through one warm
 //                engine::Study and emit per-candidate hit-rate JSON — the
@@ -179,8 +181,10 @@ int main(int argc, char** argv) {
   };
 
   bool parity_ok = true;
+  bool bitwise_ok = true;
   for (const GridCase& grid : cases) {
     const std::size_t m = grid.model.element_count();
+    std::vector<double> single_thread;  // cache-on matrix at 1 thread
     for (std::size_t threads = 1; threads <= max_threads; threads *= 2) {
       par::ThreadPool pool(threads);
       bem::AssemblyExecution execution;
@@ -195,26 +199,36 @@ int main(int argc, char** argv) {
       bem::AssemblyResult on;
       // Each repetition owns a cold cache, so the timing includes the
       // signature hashing and warm-up integrations the cache really costs.
+      bem::CongruenceCache warm_cache;
       const double seconds_on = best_of(2, [&] {
-        bem::CongruenceCache cache;
-        execution.cache = &cache;
+        warm_cache.clear();
+        execution.cache = &warm_cache;
         on = bem::assemble(grid.model, {}, execution);
         execution.cache = nullptr;
       });
+      // A warm rerun replays what the cold run integrated, bit for bit.
+      execution.cache = &warm_cache;
+      const bem::AssemblyResult warm = bem::assemble(grid.model, {}, execution);
+      execution.cache = nullptr;
 
-      const double diff = max_rel_diff(off.matrix.packed(), on.matrix.packed());
+      const std::vector<double> on_packed = on.matrix.packed();
+      const double diff = max_rel_diff(off.matrix.packed(), on_packed);
       const bool ok = diff <= 1e-12;
       parity_ok = parity_ok && ok;
+      if (threads == 1) single_thread = on_packed;
+      const bool bitwise = on_packed == single_thread && warm.matrix.packed() == single_thread;
+      bitwise_ok = bitwise_ok && bitwise;
       std::printf(
           "{\"bench\":\"cache\",\"grid\":\"%s\",\"elements\":%zu,\"pairs\":%zu,"
           "\"threads\":%zu,\"hits\":%zu,\"misses\":%zu,\"entries\":%zu,"
           "\"hit_rate\":%.4f,\"seconds_off\":%.6f,\"seconds_on\":%.6f,"
           "\"speedup\":%.3f,\"max_rel_diff\":%.3e,\"parity_ok\":%s,"
+          "\"bitwise_vs_1t\":%s,"
           "\"matrix_bytes_resident\":%zu,\"hw_concurrency\":%zu,\"pool_threads\":%zu,"
           "\"peak_rss_kb\":%zu}\n",
           grid.name, m, on.element_pairs, threads, on.cache_stats.hits, on.cache_stats.misses,
           on.cache_stats.entries, on.cache_stats.hit_rate(), seconds_off, seconds_on,
-          seconds_off / seconds_on, diff, ok ? "true" : "false",
+          seconds_off / seconds_on, diff, ok ? "true" : "false", bitwise ? "true" : "false",
           on.matrix.tile_stats().resident_bytes, par::hardware_threads(), threads,
           peak_rss_bytes() / 1024);
     }
@@ -223,6 +237,11 @@ int main(int argc, char** argv) {
   if (check && !parity_ok) {
     std::fprintf(stderr, "bench_cache: cache-on assembly deviates from cache-off by more "
                          "than 1e-12 relative\n");
+    return 1;
+  }
+  if (check && !bitwise_ok) {
+    std::fprintf(stderr, "bench_cache: cache-on assembly is not bitwise identical across "
+                         "thread counts (cold and warm)\n");
     return 1;
   }
   return 0;

@@ -19,8 +19,6 @@
 //              pre-batching asinh formulation, one Gauss point at a time;
 //  * batched — the default SoA path (one image-term sweep over the whole
 //              Gauss-point batch);
-//  * mixed   — batched + mixed_tail_threshold = 1e-5 (float tail
-//              accumulation experiment; off by default in the library);
 //  * warm    — batched + congruence cache, the miss-vs-hit contrast
 //              (hit_rate reported).
 // The hankel family reports the batched spectral path (there is no scalar
@@ -38,8 +36,7 @@
 //            defaults to 6 so sanitizer jobs stay fast)
 //   --check  CI parity smoke: exit nonzero unless, per family, batched
 //            and warm match scalar to <= 1e-12 relative on every packed
-//            entry, mixed matches to <= 1e-7 (documented ~1e-9 per-entry
-//            bound plus contraction headroom), and the hankel kernel
+//            entry, and the hankel kernel
 //            matches the image-series oracle to <= 1e-4 on a two-layer
 //            stack. Timing is reported but never gated here — the Release
 //            bench job gates seconds against the committed baseline.
@@ -106,7 +103,7 @@ void print_line(const char* family, const char* mode, std::size_t cells, std::si
       hit_rate, par::hardware_threads(), peak_rss_bytes() / 1024);
 }
 
-/// Scalar / batched / mixed / warm sweep of one image-kernel family.
+/// Scalar / batched / warm sweep of one image-kernel family.
 bool run_family(const char* family, std::size_t cells, const soil::LayeredSoil& soil) {
   const bem::BemModel model = grid_model(cells, soil);
 
@@ -124,14 +121,6 @@ bool run_family(const char* family, std::size_t cells, const soil::LayeredSoil& 
   print_line(family, "batched", cells, model.element_count(), batched.element_pairs,
              batched_seconds, scalar_seconds / batched_seconds, batched_diff, 0.0);
 
-  bem::AssemblyOptions mixed_options;
-  mixed_options.integrator.mixed_tail_threshold = 1e-5;
-  bem::AssemblyResult mixed;
-  const double mixed_seconds = best_of(2, [&] { mixed = bem::assemble(model, mixed_options); });
-  const double mixed_diff = max_rel_diff(scalar.matrix.packed(), mixed.matrix.packed());
-  print_line(family, "mixed", cells, model.element_count(), mixed.element_pairs, mixed_seconds,
-             scalar_seconds / mixed_seconds, mixed_diff, 0.0);
-
   bem::AssemblyResult warm;
   // Each repetition owns a cold cache so the timing includes the signature
   // hashing and warm-up integrations the cache really costs (as in
@@ -146,7 +135,7 @@ bool run_family(const char* family, std::size_t cells, const soil::LayeredSoil& 
   print_line(family, "warm", cells, model.element_count(), warm.element_pairs, warm_seconds,
              scalar_seconds / warm_seconds, warm_diff, warm.cache_stats.hit_rate());
 
-  return batched_diff <= 1e-12 && warm_diff <= 1e-12 && mixed_diff <= 1e-7;
+  return batched_diff <= 1e-12 && warm_diff <= 1e-12;
 }
 
 /// Spectral-kernel timing plus the two-layer oracle cross-check. The
@@ -224,7 +213,7 @@ int main(int argc, char** argv) {
   if (check && !ok) {
     std::fprintf(stderr,
                  "bench_kernels: a kernel mode broke parity (batched/warm vs scalar > 1e-12, "
-                 "mixed > 1e-7, or hankel vs image oracle > 1e-4)\n");
+                 "or hankel vs image oracle > 1e-4)\n");
     return 1;
   }
   return 0;

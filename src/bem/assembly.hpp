@@ -10,18 +10,35 @@
 //   * parallel inner loop: columns run sequentially, the rows of each column
 //     are distributed (the lower-granularity alternative of Fig. 6.1).
 //
-// Parallel modes use a *fused streaming* scheme: every worker scatters each
-// elemental matrix into the global tiled symmetric matrix as soon as it is
-// computed, synchronized by per-tile locks — an elemental 2x2 block maps to
-// at most four tiles of the la::TileStore backing the matrix, so the scheme
-// works unchanged whether the store is the in-memory arena or the
-// out-of-core spill pager. Because the element-pair integration dominates
-// the scatter by orders of magnitude, the tile locks are essentially
-// uncontended; peak memory stays at the lower-triangle tiles of the result
-// matrix itself — or at the pager's residency budget when one is set. (The
-// seed's two-phase scheme instead materialized all M(M+1)/2 elemental
-// blocks before a serial scatter pass — O(M^2) extra memory and a serial
-// Amdahl term.)
+// Without a congruence cache (the paper's setting, and the outer/inner x
+// schedule ablation) parallel modes use a *fused streaming* scheme: every
+// worker scatters each elemental matrix into the tiled symmetric matrix as
+// soon as it is computed, synchronized by per-tile locks — an elemental 2x2
+// block maps to at most four tiles of the la::TileStore, so the scheme
+// works whether the store is the in-memory arena or the out-of-core spill
+// pager. Integration dominates the scatter by orders of magnitude, so the
+// locks are essentially uncontended.
+//
+// With a cache (AssemblyExecution::cache) most pairs are replays and the
+// scatter *is* the work, so the loop is *planned* instead, one chunk of
+// whole columns at a time:
+//   1. plan — the column loop above, under the configured schedule and
+//      loop mode, gives every pair with an entry outside the low-rank
+//      tiles its translation class (pair_signature.hpp: element shape ids plus the
+//      lattice offset of the start points), in the worker's own table;
+//   2. resolve — the chunk's new classes are merged in a fixed order, each
+//      is canonicalized once on its lowest pair and looked up in the shared
+//      cache once; misses are grouped by canonical signature and each group
+//      is integrated once, in parallel, on its lowest pair (then inserted);
+//   3. gather — each dense tile is owned by one worker (tiles are indexed by
+//      the larger DoF's tile row), checked out once per chunk, and receives
+//      its entries in pair order.
+// Concurrency: the only shared writes are the cache's own (one find per
+// class, one insert per integrated group) and disjoint tiles; there is no
+// lock or shared atomic per pair. Every value is a function of the pair
+// order and the cache contents, so the matrix is bitwise identical for any
+// thread count and schedule, cold or warm — and, per entry, it sums in the
+// sequential loop's order.
 #pragma once
 
 #include <cstddef>
@@ -91,9 +108,11 @@ struct AssemblyExecution {
   /// simulator used by the Fig. 6.1 / Table 6.2 / Table 6.3 benches).
   bool measure_column_costs = false;
   /// Congruence cache: non-null integrates each distinct pair geometry once
-  /// and replays the 2x2 block for congruent copies (see pair_signature.hpp).
-  /// Only valid while soil model and integrator/series options are
-  /// unchanged; stats on the cache are cumulative over its lifetime.
+  /// and replays the 2x2 block for congruent copies (see pair_signature.hpp),
+  /// through the planned path described above. Only valid while soil model
+  /// and integrator/series options are unchanged; stats on the cache are
+  /// cumulative over its lifetime. With measure_column_costs, a column's
+  /// cost is then its planning time (no pair is integrated per column).
   CongruenceCache* cache = nullptr;
 };
 
@@ -108,11 +127,13 @@ struct AssemblyResult {
   std::vector<double> column_costs;  ///< seconds per outer column, if measured
   std::size_t element_pairs = 0;
   /// Congruence-cache counters of *this assembly alone* (zeros when the
-  /// cache is disabled): hits/misses are tallied per looked-up pair inside
-  /// the run, so they stay exact even when several pipelined runs share one
-  /// warm cache concurrently — the shared cache's own stats() are
-  /// lifetime-cumulative across every run that ever touched it. `entries`
-  /// is the shared cache's occupancy right after this assembly.
+  /// cache is disabled), in element pairs: misses are the pairs actually
+  /// integrated (one per missed canonical class), hits the other pairs the
+  /// pair loop resolved. Tallied inside the run, so they stay exact even
+  /// when several pipelined runs share one warm cache concurrently — the
+  /// shared cache's own stats() are lifetime-cumulative across every run
+  /// that ever touched it. `entries` is the shared cache's occupancy right
+  /// after this assembly.
   CongruenceCacheStats cache_stats;
   /// Pager counters of the matrix's tile store over this assembly (zeros
   /// except resident-byte gauges for the in-memory backend).

@@ -9,19 +9,24 @@ CongruenceCache::CongruenceCache(double quantum, std::size_t max_entries)
   EBEM_EXPECT(quantum > 0.0, "congruence quantum must be positive");
 }
 
-bool CongruenceCache::lookup(const PairSignature& signature, LocalMatrix& block) const {
+bool CongruenceCache::find(const PairSignature& signature, LocalMatrix& block) const {
   const Shard& shard = shard_of(signature);
-  {
-    const std::scoped_lock lock(shard.mutex);
-    const auto it = shard.map.find(signature);
-    if (it != shard.map.end()) {
-      block = it->second;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  const std::scoped_lock lock(shard.mutex);
+  const auto it = shard.map.find(signature);
+  if (it == shard.map.end()) return false;
+  block = it->second;
+  return true;
+}
+
+bool CongruenceCache::lookup(const PairSignature& signature, LocalMatrix& block) const {
+  const bool hit = find(signature, block);
+  (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  return hit;
+}
+
+void CongruenceCache::record_lookups(std::size_t hits, std::size_t misses) {
+  hits_.fetch_add(hits, std::memory_order_relaxed);
+  misses_.fetch_add(misses, std::memory_order_relaxed);
 }
 
 void CongruenceCache::insert(const PairSignature& signature, const LocalMatrix& block) {

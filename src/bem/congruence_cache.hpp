@@ -4,13 +4,18 @@
 // copy (uniform rectangular grids repeat a handful of geometries tens of
 // thousands of times; see pair_signature.hpp for the invariance argument).
 //
-// Concurrency model matches the fused streaming assembly: a read-mostly
-// sharded hash map. Signatures are distributed over 64 independently locked
-// shards by their high hash bits, so concurrent workers contend only when
-// they touch the same shard at the same instant; after warm-up nearly every
-// access is a brief locked find. Two workers racing on the same cold key may
-// both integrate it — both results are identical, the second insert is
-// dropped, and correctness is unaffected.
+// Concurrency model: a read-mostly sharded hash map shared by every run of
+// one engine. The planned assembly (assembly.hpp) touches it once per
+// congruence class per run, from one thread, through the uncounted find()
+// and insert(), and credits its per-pair tally in one record_lookups() call
+// — so assembly itself takes no cache lock per pair. Per-pair lookup()
+// traffic comes from far-field ACA sampling, whose workers call the cached
+// Integrator entries concurrently. Signatures are spread over 64
+// independently locked shards by their high hash bits, so those callers
+// contend only when they touch the same shard at the same instant. Two
+// callers racing on the same cold key (two pipelined runs, or two sampling
+// workers) may both integrate it: the second insert is dropped, and each
+// caller keeps the block it integrated.
 //
 // A cache is valid for one kernel + integrator configuration: reuse it
 // across assemblies only when soil model, series/quadrature options and
@@ -73,6 +78,14 @@ class CongruenceCache {
   /// On a hit copies the stored block into `block` and returns true (counts
   /// a hit); on a miss returns false (counts a miss).
   [[nodiscard]] bool lookup(const PairSignature& signature, LocalMatrix& block) const;
+
+  /// lookup() without touching the counters: for a caller that resolves
+  /// many pairs through one lookup and credits them with record_lookups().
+  [[nodiscard]] bool find(const PairSignature& signature, LocalMatrix& block) const;
+
+  /// Add per-pair hits and misses resolved outside lookup(), keeping the
+  /// lifetime counters in units of element pairs.
+  void record_lookups(std::size_t hits, std::size_t misses);
 
   /// Store the block for `signature`; a concurrent duplicate or a full
   /// cache is silently dropped.

@@ -16,7 +16,8 @@ namespace ebem::bem {
 namespace {
 
 /// Per-thread reusable image-sweep workspace, keyed on the exact source
-/// geometry, kernel, layer pair and mixed-precision knob. Building the
+/// geometry, kernel, layer pair and whether the family is the surface-folded
+/// one (field points at z = 0; see ImageKernel::surface_terms). Building the
 /// sweep is the per-pair setup cost of the analytic path; hoisting it into
 /// this thread_local buffer removes the churn from every element_pair call,
 /// and the key check turns consecutive evaluations against the same source
@@ -27,22 +28,21 @@ struct SweepScratch {
   std::uint64_t kernel_epoch = 0;  ///< 0 never matches a live kernel
   geom::Vec3 a, b;
   double radius = -1.0;
-  double mixed_tail_threshold = -1.0;
   std::size_t source_layer = static_cast<std::size_t>(-1);
   std::size_t field_layer = static_cast<std::size_t>(-1);
+  bool surface = false;
 };
 
 const ImageSegmentSweep& term_sweep(const soil::ImageKernel& kernel, const BemElement& source,
-                                    std::size_t field_layer, double mixed_tail_threshold) {
+                                    std::size_t field_layer, bool surface = false) {
   thread_local SweepScratch scratch;
   // Exact comparisons on purpose: any difference rebuilds, a stale hit is
   // impossible (the kernel is identified by its process-unique epoch, not
   // its address), and the fixed-source case the batch/sampling paths
   // produce is the one that hits.
   const bool hit = scratch.kernel_epoch == kernel.epoch() &&
-                   scratch.field_layer == field_layer &&
+                   scratch.field_layer == field_layer && scratch.surface == surface &&
                    scratch.source_layer == source.layer && scratch.radius == source.radius &&
-                   scratch.mixed_tail_threshold == mixed_tail_threshold &&
                    scratch.a.x == source.a.x && scratch.a.y == source.a.y &&
                    scratch.a.z == source.a.z && scratch.b.x == source.b.x &&
                    scratch.b.y == source.b.y && scratch.b.z == source.b.z;
@@ -62,41 +62,23 @@ const ImageSegmentSweep& term_sweep(const soil::ImageKernel& kernel, const BemEl
   sweep.length = length;
   sweep.radius2 = square(source.radius);
   const double uz = axis.z / length;
-  const auto& terms = kernel.terms(source.layer, field_layer);
+  const auto& terms =
+      surface ? kernel.surface_terms(source.layer) : kernel.terms(source.layer, field_layer);
   sweep.az.reserve(terms.size());
   sweep.muz.reserve(terms.size());
   sweep.weight.reserve(terms.size());
-  const auto push = [&](const soil::ImageTerm& term) {
+  for (const soil::ImageTerm& term : terms) {
     sweep.az.push_back(term.mirror * source.a.z + term.offset);
     sweep.muz.push_back(term.mirror * uz);
     sweep.weight.push_back(term.weight);
-  };
-  if (mixed_tail_threshold <= 0.0) {
-    for (const soil::ImageTerm& term : terms) push(term);
-    sweep.tail_begin = sweep.size();
-  } else {
-    // Partition: full-precision head first (original order), then the
-    // small-|weight| tail the sweep evaluates in single precision.
-    double max_weight = 0.0;
-    for (const soil::ImageTerm& term : terms) {
-      max_weight = std::max(max_weight, std::abs(term.weight));
-    }
-    const double cut = mixed_tail_threshold * max_weight;
-    for (const soil::ImageTerm& term : terms) {
-      if (std::abs(term.weight) >= cut) push(term);
-    }
-    sweep.tail_begin = sweep.size();
-    for (const soil::ImageTerm& term : terms) {
-      if (std::abs(term.weight) < cut) push(term);
-    }
   }
   scratch.kernel_epoch = kernel.epoch();
   scratch.a = source.a;
   scratch.b = source.b;
   scratch.radius = source.radius;
-  scratch.mixed_tail_threshold = mixed_tail_threshold;
   scratch.source_layer = source.layer;
   scratch.field_layer = field_layer;
+  scratch.surface = surface;
   return scratch.sweep;
 }
 
@@ -120,7 +102,7 @@ std::array<double, 2> Integrator::inner_integrals(geom::Vec3 field_point,
 
   if (options_.inner == InnerIntegration::kAnalytic) {
     const ImageSegmentSweep& sweep =
-        term_sweep(*image_kernel_, source, field_layer, options_.mixed_tail_threshold);
+        term_sweep(*image_kernel_, source, field_layer);
     const bool linear = options_.basis == BasisKind::kLinear;
     if (options_.segment_eval == SegmentEval::kBatched) {
       accumulate_image_sweep(sweep, &field_point.x, &field_point.y, &field_point.z, 1, linear,
@@ -250,7 +232,7 @@ LocalMatrix Integrator::element_pair_analytic(const BemElement& field,
   // applied to the whole Gauss-point batch before moving to the next image.
   const bool linear = options_.basis == BasisKind::kLinear;
   const ImageSegmentSweep& sweep =
-      term_sweep(*image_kernel_, source, field.layer, options_.mixed_tail_threshold);
+      term_sweep(*image_kernel_, source, field.layer);
   if (options_.segment_eval == SegmentEval::kBatched) {
     accumulate_image_sweep(sweep, xs, ys, zs, points, linear, acc0, acc1);
   } else {
@@ -332,7 +314,45 @@ void Integrator::element_pair_batch(const BemElement& source,
 std::array<double, 2> Integrator::potential_influence(geom::Vec3 x,
                                                       const BemElement& source) const {
   const std::size_t field_layer = kernel_.soil_model().layer_of(std::min(x.z, 0.0));
-  return inner_integrals(x, source, field_layer);
+  std::array<double, 2> influence{};
+  potential_influence_batch(source, field_layer, &x.x, &x.y, &x.z, 1, &influence[0],
+                            &influence[1]);
+  return influence;
+}
+
+void Integrator::potential_influence_batch(const BemElement& source, std::size_t field_layer,
+                                           const double* xs, const double* ys,
+                                           const double* zs, std::size_t count, double* out0,
+                                           double* out1) const {
+  std::fill(out0, out0 + count, 0.0);
+  std::fill(out1, out1 + count, 0.0);
+  if (options_.inner != InnerIntegration::kAnalytic) {
+    // The quadrature paths have no per-source setup to share.
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::array<double, 2> inner =
+          inner_integrals({xs[k], ys[k], zs[k]}, source, field_layer);
+      out0[k] = inner[0];
+      out1[k] = inner[1];
+    }
+    return;
+  }
+  // inner_integrals' analytic branch with the points batched. A batch that
+  // lies wholly on the earth's surface runs the surface-folded family:
+  // every image coincides there with its mirror across the surface.
+  const bool surface =
+      field_layer == 0 && std::all_of(zs, zs + count, [](double z) { return z == 0.0; });
+  const ImageSegmentSweep& sweep = term_sweep(*image_kernel_, source, field_layer, surface);
+  const bool linear = options_.basis == BasisKind::kLinear;
+  if (options_.segment_eval == SegmentEval::kBatched) {
+    accumulate_image_sweep(sweep, xs, ys, zs, count, linear, out0, out1);
+  } else {
+    accumulate_image_sweep_reference(sweep, xs, ys, zs, count, linear, out0, out1);
+  }
+  const double prefactor = image_kernel_->prefactor(source.layer);
+  for (std::size_t k = 0; k < count; ++k) {
+    out0[k] *= prefactor;
+    out1[k] *= prefactor;
+  }
 }
 
 }  // namespace ebem::bem

@@ -49,14 +49,6 @@ struct IntegratorOptions {
   std::size_t outer_gauss_points = 8;
   std::size_t inner_gauss_points = 8;  ///< used only by InnerIntegration::kGauss
   SegmentEval segment_eval = SegmentEval::kBatched;
-  /// Mixed-precision experiment, off at 0 (the default). When positive,
-  /// image terms whose |weight| falls below this fraction of the pair's
-  /// largest |weight| are evaluated in single precision and folded into the
-  /// double accumulators (see ImageSegmentSweep::tail_begin). At 1e-5 the
-  /// assembly-level deviation from the all-double path stays below ~1e-9
-  /// relative (the documented bound, asserted by tests) — measurably outside
-  /// the 1e-12 parity contract, which is why it is an opt-in experiment.
-  double mixed_tail_threshold = 0.0;
 
   friend bool operator==(const IntegratorOptions&, const IntegratorOptions&) = default;
 };
@@ -126,6 +118,19 @@ class Integrator {
   /// (paper eq. 4.3): V(x) = sum_i sigma_i * coefficient_i.
   [[nodiscard]] std::array<double, 2> potential_influence(geom::Vec3 x,
                                                           const BemElement& source) const;
+
+  /// Batched potential influence of one source element at `count` field
+  /// points (structure of arrays) that all lie in soil layer `field_layer`:
+  /// out0[k], out1[k] are the coefficients of point k (out1 is zero for a
+  /// constant basis). The image sweep of the source is built once for the
+  /// whole batch instead of once per point. A batch lying wholly on the
+  /// earth's surface (z = 0) sums the surface-folded image family
+  /// (ImageKernel::surface_terms), as potential_influence does for a
+  /// surface point; so a batch that does not mix surface and buried points
+  /// reproduces potential_influence bitwise.
+  void potential_influence_batch(const BemElement& source, std::size_t field_layer,
+                                 const double* xs, const double* ys, const double* zs,
+                                 std::size_t count, double* out0, double* out1) const;
 
   [[nodiscard]] const IntegratorOptions& options() const { return options_; }
   [[nodiscard]] const soil::PointKernel& kernel() const { return kernel_; }

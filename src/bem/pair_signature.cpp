@@ -87,6 +87,21 @@ PairSignature make_pair_signature(const BemElement& field, const BemElement& sou
   return signature;
 }
 
+ElementShape make_element_shape(const BemElement& element, double quantum) {
+  EBEM_EXPECT(quantum > 0.0, "congruence quantum must be positive");
+  return {quantize(element.b.x - element.a.x, quantum),
+          quantize(element.b.y - element.a.y, quantum),
+          quantize(element.a.z, quantum),
+          quantize(element.b.z, quantum),
+          quantize(element.radius, quantum),
+          static_cast<std::int64_t>(element.layer)};
+}
+
+std::array<std::int64_t, 2> lattice_start(const BemElement& element, double quantum) {
+  EBEM_EXPECT(quantum > 0.0, "congruence quantum must be positive");
+  return {quantize(element.a.x, quantum), quantize(element.a.y, quantum)};
+}
+
 CanonicalPairSignature make_canonical_pair_signature(const BemElement& field,
                                                      const BemElement& source, double quantum) {
   CanonicalPairSignature canonical;

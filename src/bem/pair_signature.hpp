@@ -98,4 +98,25 @@ struct CanonicalPairSignature {
     const BemElement& field, const BemElement& source,
     double quantum = kDefaultCongruenceQuantum);
 
+/// Translation-class keys — the cheap first stage of the planned assembly.
+/// Horizontal translation is the one isometry that needs no canonical
+/// frame: two pairs whose field elements have the same shape, whose source
+/// elements have the same shape and whose start points are offset by the
+/// same horizontal vector are translated copies, and so share one
+/// canonical signature. Shape and start are computed once per element, so
+/// a pair's key costs two integer subtractions — against the rotation,
+/// reflection and role swap make_canonical_pair_signature pays for. All
+/// parts are lattice coordinates at the congruence quantum; keys match when
+/// the offsets agree to within a quantum per coordinate.
+///
+/// Element shape: axis vector (b - a), endpoint depths, radius, layer.
+using ElementShape = std::array<std::int64_t, 6>;
+[[nodiscard]] ElementShape make_element_shape(const BemElement& element,
+                                              double quantum = kDefaultCongruenceQuantum);
+
+/// Horizontal start point (a.x, a.y) on the lattice; a pair's offset is the
+/// source's start minus the field's.
+[[nodiscard]] std::array<std::int64_t, 2> lattice_start(const BemElement& element,
+                                                        double quantum = kDefaultCongruenceQuantum);
+
 }  // namespace ebem::bem

@@ -30,7 +30,8 @@ std::vector<double> solve(const la::SymMatrix& matrix, std::span<const double> r
   if (options.kind == SolverKind::kCholesky) {
     // The factor's working store inherits the matrix's storage policy, so a
     // spill-backed system factors out of core with the same budget.
-    const la::Cholesky factor(matrix, {.block = execution.cholesky_block, .pool = pool});
+    const la::Cholesky factor(
+        matrix, {.block = execution.cholesky_block, .pool = pool, .storage = std::nullopt});
     std::vector<double> x = factor.solve(rhs);
     if (stats != nullptr) {
       stats->iterations = 0;

@@ -83,7 +83,8 @@
 // single-node memory assemble, multiply and factor out of core, with
 // eviction/IO counters on the session PhaseReport), and
 // la::CompressedTileStore (H-matrix; set ExecutionConfig::storage
-// .compression). Every consumer walks tiles: the fused assembly scatter
+// .compression). Every consumer walks tiles: the planned (cache-on)
+// assembly gathers each tile on one worker, the cache-off fused scatter
 // locks per tile, the blocked Cholesky uses panel = tile column,
 // SymMatrix::multiply and PCG stream the triangle tile by tile.
 // examples/out_of_core.cpp is the walkthrough.
@@ -153,11 +154,29 @@
 // compressed backend's net pair bill below half of dense. The multi-layer
 // spectral kernel batches too — its per-lambda boundary system is
 // assembled symbolically once per evaluation and solved for whole
-// quadrature panels on per-thread workspaces (soil/hankel_kernel). An
-// opt-in mixed-precision experiment (IntegratorOptions::
-// mixed_tail_threshold) runs the small-weight image tail in single
-// precision, documented bound ~1e-9 at threshold 1e-5 — measurably outside
-// the 1e-12 parity contract, hence off by default.
+// quadrature panels on per-thread workspaces (soil/hankel_kernel).
+//
+// Planned warm assembly (bem/assembly.cpp): with a congruence cache the
+// warm CAD loop integrates nothing, so what is left is bookkeeping — and
+// bookkeeping done per pair under shared locks made 2 threads slower than
+// 1. The cache-on assembly therefore runs three steps per chunk of
+// columns. Plan: the paper's column loop, under the configured schedule,
+// gives each pair a translation-class key — per-element shape ids plus the
+// start-to-start offset on the congruence lattice, two integer
+// subtractions — in the worker's own table. Resolve: each translation
+// class is canonicalized (make_canonical_pair_signature) and looked up in
+// the shared cache once per run; the misses are grouped by canonical
+// signature and each group is integrated once, in parallel, on its lowest
+// pair. Gather: each dense tile belongs to one worker, is checked out
+// once, and receives its entries in pair order — no lock or shared counter
+// per pair, and the matrix is bitwise identical for any thread count, cold
+// or warm (bench/bench_cache.cpp --check gates it at 1/2/4 threads). The
+// cache-off loops stay the paper's outer/inner x schedule ablation. The
+// safety post-processing batches the same way: post::PotentialEvaluator
+// builds each element's image sweep once per batch of field points
+// (Integrator::potential_influence_batch), and surface points sum the
+// surface-folded image family (soil::ImageKernel::surface_terms), in which
+// every image is merged with its mirror across the surface.
 //
 // Serving the engine (service/): everything above assumes the caller links
 // the library; the service layer puts the same engine behind a network front

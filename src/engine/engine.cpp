@@ -29,7 +29,6 @@ std::uint64_t physics_fingerprint(const soil::LayeredSoil& soil,
   h = hash_combine(h, integrator.outer_gauss_points);
   h = hash_combine(h, integrator.inner_gauss_points);
   h = hash_combine(h, static_cast<std::uint64_t>(integrator.segment_eval));
-  h = hash_combine(h, word_of(integrator.mixed_tail_threshold));
   h = hash_combine(h, word_of(options.series.tolerance));
   h = hash_combine(h, options.series.max_reflections);
   h = hash_combine(h, word_of(options.hankel.tolerance));

@@ -142,7 +142,8 @@ void stage_factor(RunState& run) {
   CpuTimer cpu;
   run.factor.emplace(run.assembled->matrix,
                      la::CholeskyOptions{.block = run.execution.solve.cholesky_block,
-                                         .pool = run.execution.solve.pool});
+                                         .pool = run.execution.solve.pool,
+                                         .storage = std::nullopt});
   run.report.add(Phase::kLinearSolve, wall.seconds(), cpu.seconds());
   run.report.add_counter(kFactorizationsCounter, 1.0);
   if (run.factor_only) {

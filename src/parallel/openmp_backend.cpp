@@ -37,6 +37,8 @@ void openmp_parallel_for(std::size_t num_threads, std::size_t n, const Schedule&
   }
 }
 
+std::size_t openmp_thread_num() { return static_cast<std::size_t>(omp_get_thread_num()); }
+
 #else  // !EBEM_HAS_OPENMP
 
 bool openmp_available() { return false; }
@@ -46,6 +48,8 @@ void openmp_parallel_for(std::size_t num_threads, std::size_t n, const Schedule&
   EBEM_EXPECT(num_threads >= 1, "need at least one thread");
   for (std::size_t i = 0; i < n; ++i) body(i);
 }
+
+std::size_t openmp_thread_num() { return 0; }
 
 #endif
 

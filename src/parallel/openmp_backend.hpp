@@ -24,4 +24,8 @@ namespace ebem::par {
 void openmp_parallel_for(std::size_t num_threads, std::size_t n, const Schedule& schedule,
                          const std::function<void(std::size_t)>& body);
 
+/// Id of the calling thread inside an openmp_parallel_for body, in
+/// [0, num_threads); 0 outside a parallel region and without OpenMP.
+[[nodiscard]] std::size_t openmp_thread_num();
+
 }  // namespace ebem::par

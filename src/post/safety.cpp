@@ -49,26 +49,37 @@ SafetyAssessment assess_safety(const PotentialEvaluator& evaluator, double gpr, 
   assessment.tolerable_touch = tolerable_touch_voltage(criteria);
   assessment.tolerable_step = tolerable_step_voltage(criteria);
 
-  const PotentialEvaluator::SurfaceGrid grid = evaluator.surface_grid(x0, x1, y0, y1, nx, ny);
+  EBEM_EXPECT(nx >= 2 && ny >= 2, "surface grid needs at least 2x2 samples");
+  EBEM_EXPECT(x1 > x0 && y1 > y0, "surface grid bounds must be increasing");
+  const double dx = (x1 - x0) / static_cast<double>(nx - 1);
+  const double dy = (y1 - y0) / static_cast<double>(ny - 1);
 
-  // Step probes: potential 1 m away in +x and +y from every grid sample.
-  std::vector<geom::Vec3> step_points;
-  step_points.reserve(2 * nx * ny);
+  // One batch: the nx * ny surface samples (row-major, as surface_grid
+  // lays them out), then the step probes 1 m away in +x and +y from each.
+  const std::size_t samples = nx * ny;
+  std::vector<geom::Vec3> points;
+  points.reserve(3 * samples);
   for (std::size_t j = 0; j < ny; ++j) {
     for (std::size_t i = 0; i < nx; ++i) {
-      const double x = grid.x0 + grid.dx * static_cast<double>(i);
-      const double y = grid.y0 + grid.dy * static_cast<double>(j);
-      step_points.push_back({x + 1.0, y, 0.0});
-      step_points.push_back({x, y + 1.0, 0.0});
+      points.push_back({x0 + dx * static_cast<double>(i), y0 + dy * static_cast<double>(j), 0.0});
     }
   }
-  const std::vector<double> stepped = evaluator.at(step_points);
+  for (std::size_t j = 0; j < ny; ++j) {
+    for (std::size_t i = 0; i < nx; ++i) {
+      const double x = x0 + dx * static_cast<double>(i);
+      const double y = y0 + dy * static_cast<double>(j);
+      points.push_back({x + 1.0, y, 0.0});
+      points.push_back({x, y + 1.0, 0.0});
+    }
+  }
+  const std::vector<double> potentials = evaluator.at(points);
+  const double* stepped = potentials.data() + samples;
 
   for (std::size_t j = 0; j < ny; ++j) {
     for (std::size_t i = 0; i < nx; ++i) {
-      const double x = grid.x0 + grid.dx * static_cast<double>(i);
-      const double y = grid.y0 + grid.dy * static_cast<double>(j);
-      const double v = grid.at(i, j);
+      const double x = x0 + dx * static_cast<double>(i);
+      const double y = y0 + dy * static_cast<double>(j);
+      const double v = potentials[j * nx + i];
       const double touch = gpr - v;
       if (touch > assessment.max_touch_voltage) {
         assessment.max_touch_voltage = touch;

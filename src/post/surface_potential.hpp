@@ -3,11 +3,18 @@
 //
 // Drawing the earth-surface potential contours of Figs. 5.2/5.4 needs this
 // at thousands of points; the paper names it the second massively
-// parallelizable stage, so evaluation is parallel over points.
+// parallelizable stage, so evaluation is parallel over points. Points are
+// evaluated in batches — the surface points, then the buried points of each
+// soil layer — and each element's image sweep is built once per batch
+// (Integrator::potential_influence_batch; surface points sum the folded
+// image family). Every point keeps the element-then-local-DoF summation
+// order of a one-point evaluation, so the values do not depend on how
+// points are batched.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/bem/analysis.hpp"
@@ -34,7 +41,8 @@ class PotentialEvaluator {
   /// Potential at one point (x.z <= 0; use z = 0 for the earth surface).
   [[nodiscard]] double at(geom::Vec3 x) const;
 
-  /// Potentials at many points, parallel over points.
+  /// Potentials at many points, batched, parallel over blocks of points;
+  /// bitwise equal to calling at() per point.
   [[nodiscard]] std::vector<double> at(const std::vector<geom::Vec3>& points) const;
 
   /// Potentials on a regular surface grid (z = 0): rows sweep y, columns x.
@@ -56,6 +64,9 @@ class PotentialEvaluator {
   [[nodiscard]] const std::vector<double>& sigma() const { return sigma_; }
 
  private:
+  /// Serial batched evaluation of `points` (see the header comment).
+  [[nodiscard]] std::vector<double> evaluate(std::span<const geom::Vec3> points) const;
+
   const bem::BemModel& model_;
   std::vector<double> sigma_;
   PotentialOptions options_;

@@ -243,20 +243,21 @@ void Dispatcher::harvest(const std::shared_ptr<RunRecord>& record) {
   RunReport report = build_report(*record);
   const bool failed = report.status == "failed";
 
+  // A run is reported done only once its bill is posted and its admission
+  // slot is released: a client that sees "done" and resubmits at once must
+  // find its window free and its account already reconciled. The future is
+  // terminal here, so retiring first never undercounts live work.
+  const PhaseReport& run_phase = record->factor_solve ? record->factor_future.report()
+                                                      : record->run_future.report();
+  record->session->account().bill_run(run_phase, record->elements, failed);
+  admission_.retire(*record->session);
+
   {
     const std::scoped_lock lock(record->mutex);
     record->report = std::move(report);
     record->harvest = RunRecord::Harvest::kDone;
   }
   record->cv.notify_all();
-
-  // Bill the run's own PhaseReport — the same numbers the engine's session
-  // report received — and release the admission slot last, so "outstanding"
-  // can never undercount live work.
-  const PhaseReport& run_phase = record->factor_solve ? record->factor_future.report()
-                                                      : record->run_future.report();
-  record->session->account().bill_run(run_phase, record->elements, failed);
-  admission_.retire(*record->session);
 
   {
     const std::scoped_lock lock(runs_mutex_);

@@ -6,10 +6,11 @@
 // it. Behind handle() sit the TenantRegistry (per-tenant engines + warm
 // caches), the AdmissionController (typed rejections in front of every
 // submit), a run table of in-flight futures, and a harvester thread that
-// watches those futures with deadlines (FutureBase::wait_for), publishes
-// each terminal run's RunReport, bills the tenant's CostAccount with the
-// run's PhaseReport, and retires the admission slot — billing happens
-// whether or not a client ever asks for the report.
+// watches those futures with deadlines (FutureBase::wait_for), bills the
+// tenant's CostAccount with each terminal run's PhaseReport, retires the
+// admission slot, and only then publishes the RunReport — so "done" implies
+// the slot is free and the bill is posted, and billing happens whether or
+// not a client ever asks for the report.
 //
 // shutdown() is graceful and idempotent: stop admitting (typed
 // shutting_down rejections), drain every tenant engine, harvest and bill
@@ -96,7 +97,8 @@ class Dispatcher {
   static bool future_terminal(RunRecord& record, std::chrono::nanoseconds timeout);
 
   /// Claim and perform the harvest if still pending; wait for the claimant
-  /// otherwise. On return the record's report is published and the run is
+  /// otherwise. Bills and retires the run *before* publishing its report,
+  /// so on return (and for every waiter that observes kDone) the run is
   /// billed + retired. Requires the future to be terminal.
   void harvest(const std::shared_ptr<RunRecord>& record);
 

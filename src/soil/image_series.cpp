@@ -44,6 +44,28 @@ ImageKernel::ImageKernel(const LayeredSoil& soil, const SeriesOptions& options)
                 "image-series kernel supports 1 or 2 layers; use HankelKernel for deeper stacks");
   }
   build_soa();
+  build_surface_terms();
+}
+
+void ImageKernel::build_surface_terms() {
+  for (std::size_t b = 0; b < soil_.layer_count(); ++b) {
+    const std::vector<ImageTerm>& terms = terms_[b][0];
+    std::vector<bool> folded(terms.size(), false);
+    for (std::size_t t = 0; t < terms.size(); ++t) {
+      if (folded[t]) continue;
+      ImageTerm term = terms[t];
+      // The builders emit each surface mirror a few terms after its
+      // partner, so this scan is short in practice.
+      for (std::size_t p = t + 1; p < terms.size(); ++p) {
+        if (!folded[p] && terms[p].mirror == -term.mirror && terms[p].offset == -term.offset) {
+          term.weight += terms[p].weight;
+          folded[p] = true;
+          break;
+        }
+      }
+      surface_terms_[b].push_back(term);
+    }
+  }
 }
 
 void ImageKernel::build_soa() {
@@ -135,6 +157,11 @@ void ImageKernel::build_two_layer() {
 const std::vector<ImageTerm>& ImageKernel::terms(std::size_t b, std::size_t c) const {
   EBEM_EXPECT(b < soil_.layer_count() && c < soil_.layer_count(), "layer index out of range");
   return terms_[b][c];
+}
+
+const std::vector<ImageTerm>& ImageKernel::surface_terms(std::size_t b) const {
+  EBEM_EXPECT(b < soil_.layer_count(), "layer index out of range");
+  return surface_terms_[b];
 }
 
 double ImageKernel::prefactor(std::size_t b) const {

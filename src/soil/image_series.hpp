@@ -74,6 +74,14 @@ class ImageKernel final : public PointKernel {
   /// The precomputed image family for (source layer b, field layer c).
   [[nodiscard]] const std::vector<ImageTerm>& terms(std::size_t b, std::size_t c) const;
 
+  /// The family for (source layer b, field layer 0) as seen from field
+  /// points on the earth's surface (z = 0). Each image at depth z pairs
+  /// with its mirror across the surface at -z (mirror and offset negated),
+  /// and both lie at the same distance from any point with z = 0, so each
+  /// pair is folded into one term carrying the summed weight: half the
+  /// evaluations for surface potentials. Only valid for z = 0.
+  [[nodiscard]] const std::vector<ImageTerm>& surface_terms(std::size_t b) const;
+
   /// 1/(4 pi gamma_b) prefactor for sources in layer b.
   [[nodiscard]] double prefactor(std::size_t b) const;
 
@@ -99,6 +107,7 @@ class ImageKernel final : public PointKernel {
   void build_uniform();
   void build_two_layer();
   void build_soa();
+  void build_surface_terms();
   [[nodiscard]] std::size_t reflections_needed() const;
 
   LayeredSoil soil_;
@@ -107,6 +116,7 @@ class ImageKernel final : public PointKernel {
   // terms_[b][c]; only [0][0] populated for uniform soil.
   std::vector<ImageTerm> terms_[2][2];
   TermSoA soa_[2][2];
+  std::vector<ImageTerm> surface_terms_[2];
 };
 
 }  // namespace ebem::soil

@@ -1,7 +1,10 @@
 // Congruence cache subsystem: signature invariance under the horizontal
 // isometries the layered-soil kernels admit, discrimination of incongruent
-// pairs, no-collision safety on graded grids, hit/miss statistics, and
-// cache-on == cache-off parity across every parallel assembly mode.
+// pairs, no-collision safety on graded grids, hit/miss statistics,
+// cache-on == cache-off parity across every parallel assembly mode, and the
+// planned assembly's contracts: bitwise identity across thread counts cold
+// and warm, rotation classes merging through the canonical signature, and
+// the spill-backed and compressed stores gathering the same entries.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +19,7 @@
 #include "src/bem/pair_signature.hpp"
 #include "src/geom/grid_builder.hpp"
 #include "src/geom/mesh.hpp"
+#include "src/la/compressed_tile_store.hpp"
 #include "src/parallel/thread_pool.hpp"
 
 namespace ebem::bem {
@@ -399,6 +403,211 @@ TEST(CongruenceCache, CapStopsInsertionsButKeepsCorrectness) {
   const AssemblyResult result = assemble(model, {}, {.cache = &tiny});
   expect_parity(reference.matrix, result.matrix, "capped cache");
   EXPECT_LE(result.cache_stats.entries, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Planned assembly: plan -> resolve -> gather
+// ---------------------------------------------------------------------------
+
+void expect_bitwise(const la::SymMatrix& expected, const la::SymMatrix& actual,
+                    const std::string& label) {
+  const auto e = expected.packed();
+  const auto a = actual.packed();
+  ASSERT_EQ(e.size(), a.size()) << label;
+  std::size_t differing = 0;
+  for (std::size_t k = 0; k < e.size(); ++k) differing += e[k] == a[k] ? 0 : 1;
+  EXPECT_EQ(differing, 0u) << label;
+}
+
+/// Two-layer 4x4 grid with a rod at every perimeter node, each rod crossing
+/// the interface and split there.
+BemModel rodded_model() {
+  geom::RectGridSpec spec;
+  spec.length_x = 20.0;
+  spec.length_y = 20.0;
+  spec.cells_x = 4;
+  spec.cells_y = 4;
+  std::vector<geom::Conductor> conductors = geom::make_rect_grid(spec);
+  geom::add_rods(conductors, geom::perimeter_rod_positions(spec, 8), spec.depth, geom::RodSpec{});
+  const auto soil = soil::LayeredSoil::two_layer(0.0025, 0.02, 1.0);
+  return BemModel(geom::Mesh::build(split_at_interfaces(conductors, soil)), soil);
+}
+
+/// The 6x6 bench grid rotated by `degrees` about the vertical axis.
+BemModel rotated_model(double degrees) {
+  geom::RectGridSpec spec;
+  spec.length_x = 30.0;
+  spec.length_y = 30.0;
+  spec.cells_x = 6;
+  spec.cells_y = 6;
+  std::vector<geom::Conductor> conductors = geom::make_rect_grid(spec);
+  const double angle = degrees * 3.14159265358979323846 / 180.0;
+  const double c = std::cos(angle);
+  const double s = std::sin(angle);
+  const auto rotate = [&](geom::Vec3 p) { return geom::Vec3{c * p.x - s * p.y, s * p.x + c * p.y, p.z}; };
+  for (geom::Conductor& conductor : conductors) {
+    conductor.a = rotate(conductor.a);
+    conductor.b = rotate(conductor.b);
+  }
+  const auto soil = soil::LayeredSoil::two_layer(0.005, 0.016, 1.0);
+  return BemModel(geom::Mesh::build(conductors), soil);
+}
+
+TEST(PlannedAssembly, BitwiseIdenticalAcrossThreadCountsColdAndWarm) {
+  const BemModel model = rodded_model();
+  CongruenceCache reference_cache;
+  const AssemblyResult cold_reference = assemble(model, {}, {.cache = &reference_cache});
+  const AssemblyResult warm_reference = assemble(model, {}, {.cache = &reference_cache});
+  // The warm run replays the blocks the cold run integrated on the same
+  // representatives, so even cold and warm agree to the bit.
+  expect_bitwise(cold_reference.matrix, warm_reference.matrix, "cold vs warm, 1 thread");
+  EXPECT_EQ(warm_reference.cache_stats.misses, 0u);
+
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    for (const par::Schedule& schedule :
+         {par::Schedule::dynamic(1), par::Schedule::static_blocked(), par::Schedule::guided(1)}) {
+      par::ThreadPool pool(threads);
+      CongruenceCache cache;
+      AssemblyExecution execution;
+      execution.num_threads = threads;
+      execution.pool = &pool;
+      execution.schedule = schedule;
+      execution.cache = &cache;
+      const std::string label = std::to_string(threads) + " threads";
+      const AssemblyResult cold = assemble(model, {}, execution);
+      expect_bitwise(cold_reference.matrix, cold.matrix, label + " cold");
+      EXPECT_EQ(cold.cache_stats.misses, cold_reference.cache_stats.misses) << label;
+      EXPECT_EQ(cold.cache_stats.hits + cold.cache_stats.misses, cold.element_pairs) << label;
+      const AssemblyResult warm = assemble(model, {}, execution);
+      expect_bitwise(warm_reference.matrix, warm.matrix, label + " warm");
+      EXPECT_EQ(warm.cache_stats.hits, warm.element_pairs) << label;
+    }
+  }
+}
+
+TEST(PlannedAssembly, MatchesCacheOffOnRodsCrossingTheInterface) {
+  const BemModel model = rodded_model();
+  const AssemblyResult off = assemble(model, {});
+  CongruenceCache cache;
+  const AssemblyResult on = assemble(model, {}, {.num_threads = 2, .cache = &cache});
+  expect_parity(off.matrix, on.matrix, "rods crossing the interface");
+  EXPECT_GT(on.cache_stats.hits, 0u);
+  // Misses are pairs actually integrated: one per canonical class.
+  EXPECT_EQ(on.cache_stats.misses, on.cache_stats.entries);
+}
+
+TEST(PlannedAssembly, RotatedGridStillMergesThroughTheCanonicalSignature) {
+  const BemModel model = rotated_model(30.0);
+  const AssemblyResult off = assemble(model, {});
+  CongruenceCache cache;
+  const AssemblyResult on = assemble(model, {}, {.num_threads = 2, .cache = &cache});
+  expect_parity(off.matrix, on.matrix, "grid rotated by 30 degrees");
+
+  // x- and y-directed pairs are congruent only through a rotation, which
+  // the translation keys cannot see; the canonical signature must still
+  // merge them, so the rotated grid integrates no more classes than the
+  // axis-aligned one.
+  CongruenceCache aligned_cache;
+  const AssemblyResult aligned = assemble(uniform_model(6), {}, {.cache = &aligned_cache});
+  EXPECT_LE(on.cache_stats.misses, aligned.cache_stats.misses);
+  EXPECT_GE(on.cache_stats.hit_rate(), 0.9);
+}
+
+TEST(PlannedAssembly, LowCongruenceMeshKeepsParityAndDeterminism) {
+  // A graded 16x16 grid has ~1e5 translation classes: more than the
+  // planned path keeps across chunks, so later chunks re-resolve through
+  // the cache. Parity and thread-count determinism must survive that.
+  geom::GradedRectGridSpec spec;
+  spec.length_x = 80.0;
+  spec.length_y = 80.0;
+  spec.cells_x = 16;
+  spec.cells_y = 16;
+  spec.grading = 2.2;
+  const BemModel model(geom::Mesh::build(geom::make_graded_rect_grid(spec)),
+                       soil::LayeredSoil::uniform(0.01));
+  par::ThreadPool pool(4);
+  const AssemblyResult off = assemble(model, {}, {.num_threads = 4, .pool = &pool});
+  CongruenceCache serial_cache;
+  const AssemblyResult serial = assemble(model, {}, {.cache = &serial_cache});
+  CongruenceCache cache;
+  const AssemblyResult parallel =
+      assemble(model, {}, {.num_threads = 4, .pool = &pool, .cache = &cache});
+  expect_parity(off.matrix, parallel.matrix, "graded grid");
+  expect_bitwise(serial.matrix, parallel.matrix, "graded grid, 1 vs 4 threads");
+  EXPECT_EQ(parallel.cache_stats.misses, serial.cache_stats.misses);
+  EXPECT_EQ(parallel.cache_stats.hits + parallel.cache_stats.misses, parallel.element_pairs);
+}
+
+TEST(PlannedAssembly, ConstantBasisMatchesCacheOff) {
+  const BemModel model = uniform_model(4);
+  AssemblyOptions options;
+  options.integrator.basis = BasisKind::kConstant;
+  const AssemblyResult off = assemble(model, options);
+  CongruenceCache cache;
+  const AssemblyResult on = assemble(model, options, {.num_threads = 2, .cache = &cache});
+  expect_parity(off.matrix, on.matrix, "constant basis");
+  EXPECT_GT(on.cache_stats.hits, 0u);
+}
+
+TEST(PlannedAssembly, SpillBackedStoreMatchesInMemoryBitwise) {
+  const BemModel model = uniform_model(6);
+  AssemblyExecution execution;
+  execution.num_threads = 2;
+  execution.storage.tile_size = 16;
+  CongruenceCache cache;
+  execution.cache = &cache;
+  const AssemblyResult resident = assemble(model, {}, execution);
+  execution.storage.residency_budget_bytes = 3 * 16 * 16 * sizeof(double);
+  CongruenceCache spill_cache;
+  execution.cache = &spill_cache;
+  const AssemblyResult spilled = assemble(model, {}, execution);
+  expect_bitwise(resident.matrix, spilled.matrix, "spill-backed vs in-memory");
+  EXPECT_GT(spilled.matrix_tiles.evictions, 0u);
+}
+
+TEST(PlannedAssembly, CompressedOrderedStoreKeepsNearEntriesWithinParity) {
+  geom::RectGridSpec spec;
+  spec.length_x = 20.0;
+  spec.length_y = 300.0;
+  spec.cells_x = 4;
+  spec.cells_y = 60;
+  const BemModel model(geom::Mesh::build(geom::make_rect_grid(spec)),
+                       soil::LayeredSoil::two_layer(0.005, 0.016, 1.0));
+  AssemblyExecution execution;
+  execution.num_threads = 2;
+  execution.storage.tile_size = 32;
+  execution.storage.compression = {.epsilon = 1e-8,
+                                   .min_block = 32,
+                                   .max_rank = 64,
+                                   .min_rank_budget = 8,
+                                   .ordering = la::DofOrdering::kGeometric};
+  const AssemblyResult off = assemble(model, {}, execution);
+  CongruenceCache cache;
+  execution.cache = &cache;
+  const AssemblyResult on = assemble(model, {}, execution);
+  ASSERT_GT(on.compression.low_rank_blocks, 0u);
+  EXPECT_GT(on.far_field.pairs_skipped, 0u);
+  EXPECT_EQ(on.cache_stats.hits + on.cache_stats.misses, on.far_field.pairs_near);
+
+  // Entries of tiles both runs keep dense come from the pair loop alone and
+  // must meet the cache parity contract; the rest is ACA at epsilon.
+  const auto* off_store = dynamic_cast<const la::CompressedTileStore*>(&off.matrix.store());
+  const auto* on_store = dynamic_cast<const la::CompressedTileStore*>(&on.matrix.store());
+  ASSERT_NE(off_store, nullptr);
+  ASSERT_NE(on_store, nullptr);
+  const la::TileLayout& layout = on.matrix.layout();
+  std::size_t compared = 0;
+  for (std::size_t i = 0; i < layout.n(); ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      const std::size_t ti = layout.tile_of(i);
+      const std::size_t tj = layout.tile_of(j);
+      if (off_store->tile_is_low_rank(ti, tj) || on_store->tile_is_low_rank(ti, tj)) continue;
+      const double expected = off.matrix.get(i, j);
+      EXPECT_NEAR(on.matrix.get(i, j), expected, 1e-12 * std::abs(expected) + 1e-15);
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 0u);
 }
 
 }  // namespace

@@ -162,6 +162,32 @@ TEST(ImageKernel, CurrentFluxContinuousAcrossInterface) {
   }
 }
 
+TEST(ImageKernel, SurfaceTermsFoldEveryImageWithItsSurfaceMirror) {
+  // At z = 0 an image and its mirror across the surface are equidistant
+  // from the field point: the folded family keeps one of each pair with the
+  // summed weight, so it halves the series and sums the same potential.
+  for (const LayeredSoil& soil :
+       {LayeredSoil::uniform(0.01), LayeredSoil::two_layer(1.0 / 200.0, 1.0 / 50.0, 1.5)}) {
+    const ImageKernel kernel(soil);
+    for (std::size_t b = 0; b < soil.layer_count(); ++b) {
+      const std::vector<ImageTerm>& full = kernel.terms(b, 0);
+      const std::vector<ImageTerm>& folded = kernel.surface_terms(b);
+      EXPECT_EQ(2 * folded.size(), full.size()) << "source layer " << b;
+      const Vec3 xi{0.3, -0.2, b == 0 ? -0.8 : -2.4};
+      const Vec3 x{4.0, 1.5, 0.0};
+      double full_sum = 0.0;
+      double folded_sum = 0.0;
+      for (const ImageTerm& t : full) {
+        full_sum += t.weight / distance(x, {xi.x, xi.y, t.mirror * xi.z + t.offset});
+      }
+      for (const ImageTerm& t : folded) {
+        folded_sum += t.weight / distance(x, {xi.x, xi.y, t.mirror * xi.z + t.offset});
+      }
+      EXPECT_NEAR(folded_sum, full_sum, 1e-14 * std::abs(full_sum)) << "source layer " << b;
+    }
+  }
+}
+
 TEST(ImageKernel, SurfaceIsInsulating) {
   // dV/dz = 0 at z = 0 (air is a perfect insulator): central difference of
   // the even extension vanishes by construction, so probe one-sided.

@@ -94,6 +94,56 @@ TEST(PotentialEvaluator, BatchMatchesPointwise) {
   }
 }
 
+TEST(PotentialEvaluator, BatchIsBitwiseEqualToPointwiseAcrossLayerCounts) {
+  // The batched path shares each element's image sweep across the points of
+  // one field layer; every point must still see exactly the arithmetic of a
+  // one-point evaluation. Points straddle the layers of each soil, so the
+  // per-layer grouping is exercised too. Sigma is arbitrary: the identity
+  // holds for any density, and the 3-layer kernel is too slow to solve here
+  // (a loose spectral tolerance keeps it quick; accuracy is not under test).
+  geom::RectGridSpec spec;
+  spec.length_x = 10.0;
+  spec.length_y = 10.0;
+  spec.cells_x = 1;
+  spec.cells_y = 1;
+  const geom::Mesh mesh = geom::Mesh::build(geom::make_rect_grid(spec));
+  const soil::LayeredSoil soils[] = {
+      soil::LayeredSoil::uniform(0.02),
+      soil::LayeredSoil::two_layer(0.005, 0.016, 1.0),
+      soil::LayeredSoil({soil::Layer{1.0 / 400.0, 1.5}, soil::Layer{1.0 / 25.0, 3.0},
+                         soil::Layer{1.0 / 250.0, 0.0}}),
+  };
+  std::vector<geom::Vec3> points;
+  for (int k = 0; k < 9; ++k) points.push_back({-3.0 + 2.1 * k, 1.3 * (k % 5), 0.0});
+  for (const double depth : {-0.4, -1.2, -5.0}) points.push_back({4.0, 3.0, depth});
+  for (const soil::LayeredSoil& soil : soils) {
+    const bem::BemModel model(mesh, soil);
+    std::vector<double> sigma(model.dof_count(bem::BasisKind::kLinear));
+    for (std::size_t i = 0; i < sigma.size(); ++i) sigma[i] = 1.0 + 0.1 * static_cast<double>(i);
+    PotentialOptions options;
+    options.hankel.tolerance = 1e-3;
+    const PotentialEvaluator evaluator(model, sigma, options);
+    const std::vector<double> batch = evaluator.at(points);
+    ASSERT_EQ(batch.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      EXPECT_EQ(batch[i], evaluator.at(points[i]))
+          << soil.layer_count() << "-layer soil, point " << i;
+    }
+  }
+}
+
+TEST(PotentialEvaluator, SurfacePointsAgreeWithTheUnfoldedImageFamily) {
+  // Surface points sum the surface-folded image family; a point a hair
+  // below the surface (same geometry to the last bit) sums the full one.
+  const Solved solved = solve_square_grid(soil::LayeredSoil::two_layer(0.005, 0.016, 1.0));
+  const PotentialEvaluator evaluator(solved.model, solved.result.sigma);
+  for (const geom::Vec3 x : {geom::Vec3{0, 0, 0}, geom::Vec3{7, 3, 0}, geom::Vec3{35, -10, 0}}) {
+    const double folded = evaluator.at(x);
+    const double full = evaluator.at(geom::Vec3{x.x, x.y, -1e-300});
+    EXPECT_NEAR(folded, full, 1e-13 * std::abs(full));
+  }
+}
+
 TEST(PotentialEvaluator, ParallelEvaluationMatchesSequential) {
   const Solved solved = solve_square_grid(soil::LayeredSoil::uniform(0.02));
   PotentialOptions parallel_options;

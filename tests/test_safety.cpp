@@ -1,6 +1,7 @@
 // IEEE Std 80 safety parameters: tolerable limits and field assessment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/common/error.hpp"
@@ -137,6 +138,32 @@ TEST(SafetyAssessment, HighGprTripsLimits) {
   const SafetyAssessment a =
       assess_safety(evaluator, 50e3, -30.0, 50.0, -30.0, 50.0, 9, 9, {});
   EXPECT_FALSE(a.touch_safe());
+}
+
+TEST(SafetyAssessment, BatchedProbesMatchPointByPointEvaluation) {
+  // assess_safety evaluates the surface samples and step probes as one
+  // batch; the maxima must equal a point-by-point evaluation to the bit.
+  const Solved solved = solve_grid(10e3);
+  const PotentialEvaluator evaluator(solved.model, solved.result.sigma);
+  const double x0 = -10.0, x1 = 30.0, y0 = -5.0, y1 = 25.0;
+  const std::size_t nx = 3, ny = 4;
+  const SafetyAssessment a = assess_safety(evaluator, 10e3, x0, x1, y0, y1, nx, ny, {});
+  const double dx = (x1 - x0) / static_cast<double>(nx - 1);
+  const double dy = (y1 - y0) / static_cast<double>(ny - 1);
+  double touch = 0.0;
+  double step = 0.0;
+  for (std::size_t j = 0; j < ny; ++j) {
+    for (std::size_t i = 0; i < nx; ++i) {
+      const double x = x0 + dx * static_cast<double>(i);
+      const double y = y0 + dy * static_cast<double>(j);
+      const double v = evaluator.at(geom::Vec3{x, y, 0.0});
+      touch = std::max(touch, 10e3 - v);
+      step = std::max(step, std::abs(v - evaluator.at(geom::Vec3{x + 1.0, y, 0.0})));
+      step = std::max(step, std::abs(v - evaluator.at(geom::Vec3{x, y + 1.0, 0.0})));
+    }
+  }
+  EXPECT_EQ(a.max_touch_voltage, touch);
+  EXPECT_EQ(a.max_step_voltage, step);
 }
 
 }  // namespace

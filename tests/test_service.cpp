@@ -445,6 +445,46 @@ TEST(ServiceTenants, ConcurrentSubmitsStayInsideTheBackpressureBound) {
   EXPECT_DOUBLE_EQ(field(stats, "outstanding"), 0.0);
 }
 
+TEST(ServiceTenants, ResubmitAfterDoneReportIsNeverRejectedAtWindows1To4) {
+  // A client that keeps exactly `window` runs outstanding — read the oldest
+  // report, resubmit at once — never exceeds its quota, so it must never see
+  // quota_exceeded. This only holds if a run is reported done after its
+  // admission slot is released: the background harvester and the waiting
+  // get_report race to publish every run, and each iteration gives that
+  // race a fresh chance to publish first and retire later.
+  constexpr std::size_t kIterations = 250;
+  for (std::size_t window = 1; window <= 4; ++window) {
+    ServiceConfig config = small_config();
+    config.tenants[0].quotas.max_outstanding_runs = window;
+    Dispatcher dispatcher(config);
+    LoopbackClient client(dispatcher);
+    std::vector<double> in_flight;
+    std::size_t rejected = 0;
+    std::size_t failed = 0;
+    const auto submit = [&] {
+      const Json response = decode_response(client.call(submit_line("acme", 1)));
+      if (text(response, "type") == "submitted") {
+        in_flight.push_back(field(response, "run_id"));
+      } else if (text(response, "code") == "quota_exceeded") {
+        ++rejected;
+      } else {
+        ++failed;
+      }
+    };
+    for (std::size_t k = 0; k < window; ++k) submit();
+    for (std::size_t i = 0; i < kIterations && !in_flight.empty(); ++i) {
+      const double oldest = in_flight.front();
+      in_flight.erase(in_flight.begin());
+      const Json report = decode_response(client.call(report_line("acme", oldest)));
+      if (text(report, "status") != "done") ++failed;
+      submit();
+    }
+    EXPECT_EQ(rejected, 0u) << "window " << window;
+    EXPECT_EQ(failed, 0u) << "window " << window;
+    EXPECT_EQ(in_flight.size(), window) << "window " << window;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Shutdown
 // ---------------------------------------------------------------------------
