@@ -6,16 +6,16 @@
 //
 // Concurrency model: a read-mostly sharded hash map shared by every run of
 // one engine. The planned assembly (assembly.hpp) touches it once per
-// congruence class per run, from one thread, through the uncounted find()
-// and insert(), and credits its per-pair tally in one record_lookups() call
-// — so assembly itself takes no cache lock per pair. Per-pair lookup()
-// traffic comes from far-field ACA sampling, whose workers call the cached
-// Integrator entries concurrently. Signatures are spread over 64
-// independently locked shards by their high hash bits, so those callers
-// contend only when they touch the same shard at the same instant. Two
-// callers racing on the same cold key (two pipelined runs, or two sampling
-// workers) may both integrate it: the second insert is dropped, and each
-// caller keeps the block it integrated.
+// pair class and run, not per pair: one uncounted find() per translation
+// class (from its resolve workers), one insert() per integrated miss group
+// (from the calling thread), and one record_lookups() with the run's
+// per-pair tally. Per-pair lookup() traffic comes only from far-field ACA
+// sampling, whose workers call the cached Integrator entries concurrently.
+// Signatures are spread over 64 independently locked shards by their high
+// hash bits, so concurrent callers contend only when they touch the same
+// shard at the same instant. Two callers racing on the same cold key (two
+// pipelined runs, or two sampling workers) may both integrate it: the
+// second insert is dropped, and each caller keeps the block it integrated.
 //
 // A cache is valid for one kernel + integrator configuration: reuse it
 // across assemblies only when soil model, series/quadrature options and
