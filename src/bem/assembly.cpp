@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <deque>
-#include <cstdint>
 #include <map>
 #include <mutex>
 #include <optional>
 
 #include "src/bem/far_field.hpp"
 #include "src/common/error.hpp"
-#include "src/common/hash.hpp"
 #include "src/common/timer.hpp"
 #include "src/la/compressed_tile_store.hpp"
 #include "src/parallel/openmp_backend.hpp"
