@@ -483,6 +483,16 @@ TEST(PlannedAssembly, BitwiseIdenticalAcrossThreadCountsColdAndWarm) {
       EXPECT_EQ(warm.cache_stats.hits, warm.element_pairs) << label;
     }
   }
+
+  // The OpenMP backend runs the same plan with OpenMP thread ids.
+  CongruenceCache omp_cache;
+  AssemblyExecution omp;
+  omp.num_threads = 4;
+  omp.backend = Backend::kOpenMp;
+  omp.loop = ParallelLoop::kInner;
+  omp.cache = &omp_cache;
+  expect_bitwise(cold_reference.matrix, assemble(model, {}, omp).matrix, "OpenMP cold");
+  expect_bitwise(warm_reference.matrix, assemble(model, {}, omp).matrix, "OpenMP warm");
 }
 
 TEST(PlannedAssembly, MatchesCacheOffOnRodsCrossingTheInterface) {
