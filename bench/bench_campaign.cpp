@@ -4,12 +4,11 @@
 // for artifact archiving and the CI bench-regression gate.
 //
 // What the lines show:
-//  * the soil sweep is the fingerprint guard's worst case — every scenario
-//    drops the warm cache (cache_drops == scenarios) and the guard's wall
-//    cost is the gate_wait_seconds field. Its hit_rate stays high anyway:
-//    congruent pairs *within* one grid replay each other even on a
-//    just-dropped cache — what the drop actually costs is the
-//    cross-scenario increment (compare the damage sweep's hit_rate);
+//  * the soil sweep is the warm cache's worst case — every scenario changes
+//    the physics and starts a fresh table (cache_drops == scenarios). Its
+//    hit_rate stays high anyway: congruent pairs *within* one grid replay
+//    each other even on a fresh table — what the switch actually costs is
+//    the cross-scenario increment (compare the damage sweep's hit_rate);
 //  * the damage sweep keeps one physics and additionally replays the
 //    undamaged majority of the grid across scenarios — the measured
 //    argument for batching campaigns by physics;
@@ -25,7 +24,7 @@
 //   --check    CI determinism smoke: exit nonzero unless the percentile
 //              report (resistance, GPR, touch/step margins — all four
 //              tracked quantiles) is bit-identical across widths 1/2/4,
-//              peak in-flight stayed within the window, and the guard/cache
+//              peak in-flight stayed within the window, and the cache
 //              counters are present (soil: one drop per scenario; damage:
 //              warm hits > 0).
 //
@@ -97,7 +96,7 @@ void emit(const char* sweep, std::size_t scenarios, std::size_t cells, std::size
   std::printf(
       "{\"bench\":\"campaign\",\"sweep\":\"%s\",\"scenarios\":%zu,\"cells\":%zu,"
       "\"width\":%zu,\"completed\":%zu,\"seconds\":%.6f,\"scenarios_per_second\":%.3f,"
-      "\"hit_rate\":%.4f,\"cache_drops\":%.0f,\"gate_wait_seconds\":%.6f,"
+      "\"hit_rate\":%.4f,\"cache_drops\":%.0f,"
       "\"p5_gpr\":%.6f,\"p50_gpr\":%.6f,\"p95_gpr\":%.6f,\"p99_gpr\":%.6f,"
       "\"p5_touch_margin\":%.6f,\"p50_touch_margin\":%.6f,\"p95_touch_margin\":%.6f,"
       "\"touch_violations\":%zu,\"peak_in_flight\":%zu,\"window\":%zu,"
@@ -106,10 +105,10 @@ void emit(const char* sweep, std::size_t scenarios, std::size_t cells, std::size
       result.wall_seconds > 0.0 ? static_cast<double>(result.completed) / result.wall_seconds
                                 : 0.0,
       result.cache.hit_rate(), result.phases.counter(engine::kCacheDropsCounter),
-      result.phases.counter(engine::kGateWaitSecondsCounter), result.gpr.p5(), result.gpr.p50(),
-      result.gpr.p95(), result.gpr.p99(), result.touch_margin.p5(), result.touch_margin.p50(),
-      result.touch_margin.p95(), result.touch_violations, result.peak_in_flight,
-      2 * width, par::hardware_threads(), peak_rss_bytes() / 1024);
+      result.gpr.p5(), result.gpr.p50(), result.gpr.p95(), result.gpr.p99(),
+      result.touch_margin.p5(), result.touch_margin.p50(), result.touch_margin.p95(),
+      result.touch_violations, result.peak_in_flight, 2 * width, par::hardware_threads(),
+      peak_rss_bytes() / 1024);
 }
 
 bool percentiles_identical(const campaign::CampaignResult& a, const campaign::CampaignResult& b) {

@@ -81,9 +81,8 @@ int main() {
   print_metric("step margin", soil_report.step_margin, "V");
   std::printf("  violations: %zu touch, %zu step of %zu scenarios\n",
               soil_report.touch_violations, soil_report.step_violations, soil_report.completed);
-  std::printf("  fingerprint-guard cost: %.0f cache drops, %.3f s parked at the gate\n",
-              soil_report.phases.counter(engine::kCacheDropsCounter),
-              soil_report.phases.counter(engine::kGateWaitSecondsCounter));
+  std::printf("  physics switches: %.0f fresh warm-cache tables\n",
+              soil_report.phases.counter(engine::kCacheDropsCounter));
 
   // --- 4. Damage campaign: corrosion ablations, one fixed physics ---------
   // Same soil for every scenario, so all scenarios share the warm cache —

@@ -56,16 +56,12 @@ CongruenceCacheStats CongruenceCache::stats() const {
   return stats;
 }
 
-void CongruenceCache::drop_entries() {
+void CongruenceCache::clear() {
   for (Shard& shard : shards_) {
     const std::scoped_lock lock(shard.mutex);
     shard.map.clear();
   }
   entries_.store(0, std::memory_order_relaxed);
-}
-
-void CongruenceCache::clear() {
-  drop_entries();
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
 }

@@ -4,12 +4,13 @@
 // copy (uniform rectangular grids repeat a handful of geometries tens of
 // thousands of times; see pair_signature.hpp for the invariance argument).
 //
-// Concurrency model: a read-mostly sharded hash map shared by every run of
-// one engine. The planned assembly (assembly.hpp) touches it once per
-// pair class and run, not per pair: one uncounted find() per translation
-// class (from its resolve workers), one insert() per integrated miss group
-// (from the calling thread), and one record_lookups() with the run's
-// per-pair tally. Per-pair lookup() traffic comes only from far-field ACA
+// Concurrency model: a read-mostly sharded hash map shared by the
+// concurrent runs of one physics (engine::Engine keeps one table per
+// physics fingerprint and starts a fresh one when the physics changes).
+// The planned assembly (assembly.hpp) touches it once per pair class and
+// run, not per pair: one uncounted find() per translation class (from its
+// resolve workers), one insert() per integrated miss group (from the
+// calling thread), and one record_lookups() with the run's per-pair tally. Per-pair lookup() traffic comes only from far-field ACA
 // sampling, whose workers call the cached Integrator entries concurrently.
 // Signatures are spread over 64 independently locked shards by their high
 // hash bits, so concurrent callers contend only when they touch the same
@@ -19,7 +20,9 @@
 //
 // A cache is valid for one kernel + integrator configuration: reuse it
 // across assemblies only when soil model, series/quadrature options and
-// basis are unchanged (congruent geometry alone does not pin the physics).
+// basis are unchanged (congruent geometry alone does not pin the physics) —
+// a new physics gets a new cache rather than a cleared one, so runs still
+// replaying the old blocks are never disturbed.
 #pragma once
 
 #include <array>
@@ -99,12 +102,6 @@ class CongruenceCache {
   void insert(const CanonicalPairSignature& signature, const LocalMatrix& block);
 
   [[nodiscard]] CongruenceCacheStats stats() const;
-
-  /// Drop all stored blocks but keep the lifetime hit/miss counters, so
-  /// before/after deltas taken around the drop stay monotonic — what the
-  /// Engine's physics-fingerprint guard needs when the soil or integrator
-  /// options change mid-session.
-  void drop_entries();
 
   /// Drop all entries and reset the counters (full cold start).
   void clear();

@@ -17,6 +17,10 @@ namespace ebem::par {
 class ThreadPool;
 }  // namespace ebem::par
 
+namespace ebem::la {
+class Cholesky;
+}  // namespace ebem::la
+
 namespace ebem::bem {
 
 enum class SolverKind {
@@ -71,6 +75,17 @@ struct SolveStats {
                                         const SolverOptions& options = {},
                                         const SolveExecution& execution = {},
                                         SolveStats* stats = nullptr);
+
+/// Substitution half of the direct solve: answer `rhs` with an already built
+/// factor of `matrix`, filling `stats` (and the relative residual when
+/// execution.measure_residual) like solve() does. Shared by solve() and
+/// callers that factor in a step of their own (the engine's pipelined
+/// factor stage). Honours execution.ordering the same way solve() does.
+[[nodiscard]] std::vector<double> solve_with_factor(const la::Cholesky& factor,
+                                                    const la::SymMatrix& matrix,
+                                                    std::span<const double> rhs,
+                                                    const SolveExecution& execution,
+                                                    SolveStats* stats);
 
 /// Serial shim of the above for callers without an execution plan.
 [[nodiscard]] std::vector<double> solve(const la::SymMatrix& matrix, std::span<const double> rhs,

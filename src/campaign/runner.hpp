@@ -18,12 +18,13 @@
 // percentiles are bit-identical regardless of pipeline width or how
 // completions interleave.
 //
-// Batching note (fingerprint-guard cost): every soil scenario changes the
-// engine's physics fingerprint, so each run drops the warm congruence cache
-// behind a drain of in-flight assemblies — soil sweeps are the guard's
-// worst case and their per-run cost is visible in the campaign report's
-// "Warm cache physics drops" / "Assembly gate wait seconds" counters.
-// Damage sweeps keep the physics fixed and replay the cache; a mixed batch
+// Batching note (warm-cache cost): every soil scenario changes the engine's
+// physics fingerprint, so each run starts a fresh warm-cache table and
+// replays nothing from its predecessors — soil sweeps are the cache's
+// worst case, and the campaign report's "Warm cache physics drops" counter
+// shows one switch per scenario. No run waits on another's physics: runs
+// still assembling keep their own table. Damage sweeps keep the physics
+// fixed and replay the cache; a mixed batch
 // should therefore be grouped by physics (all soils of scenario A, then all
 // soils of scenario B is *wrong*; all of one soil first is right) — which
 // the one-ensemble-per-run() API enforces naturally.
@@ -160,8 +161,8 @@ struct CampaignResult {
   /// Congruence-cache rollup: the sum of committed runs' exact deltas.
   bem::CongruenceCacheStats cache;
   /// Phase timings + counters merged from committed runs' PhaseReports
-  /// (includes the cache counters and the fingerprint-guard cost counters
-  /// "Warm cache physics drops" / "Assembly gate wait seconds").
+  /// (includes the cache counters and the physics-switch counter
+  /// "Warm cache physics drops").
   PhaseReport phases;
 
   std::size_t peak_in_flight = 0;  ///< observed maximum; <= options.window

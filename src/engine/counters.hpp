@@ -21,14 +21,17 @@ inline constexpr const char* kFactorizationsCounter = "Cholesky factorizations";
 /// factorization".
 inline constexpr const char* kRhsSolvedCounter = "Right-hand sides solved";
 
-/// Fingerprint-guard cost counters (Engine::begin_assembly). A run whose
-/// physics fingerprint differs from the warm cache's drains the in-flight
-/// assemblies and drops the warm entries before it starts; the drop count
-/// and the wall seconds spent parked at the gate quantify what a
-/// physics-changing workload (a campaign soil sweep is the worst case — a
-/// drop per scenario) pays for cache coherence. Physics-stable workloads
-/// (design ladders, damage sweeps) keep both at zero.
+/// Incremented once per physics switch of the warm cache, the first table
+/// included: an assembly whose physics fingerprint differs from the current
+/// table's starts a fresh table (Engine::warm_table). A physics-changing
+/// workload (a campaign soil sweep is the worst case) counts one per run;
+/// physics-stable workloads (design ladders, damage sweeps) count one.
 inline constexpr const char* kCacheDropsCounter = "Warm cache physics drops";
+
+/// No longer written: always 0. It counted the seconds an assembly waited
+/// for in-flight runs to drain before a physics change; runs now keep the
+/// table of their own physics alive, so no assembly waits. Kept so readers
+/// of the old counter still build and see zero.
 inline constexpr const char* kGateWaitSecondsCounter = "Assembly gate wait seconds";
 
 /// Tile-pager counters, summed over the matrix store and the Cholesky

@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "src/common/hash.hpp"
-#include "src/common/timer.hpp"
 #include "src/engine/counters.hpp"
 #include "src/soil/soil_model.hpp"
 
@@ -37,14 +36,6 @@ std::uint64_t physics_fingerprint(const soil::LayeredSoil& soil,
   return h;
 }
 
-AssemblyGate::AssemblyGate(Engine& engine, const std::optional<std::uint64_t>& fingerprint,
-                           PhaseReport* run_report)
-    : engine_(engine) {
-  engine.begin_assembly(fingerprint, run_report);
-}
-
-AssemblyGate::~AssemblyGate() { engine_.end_assembly(); }
-
 Engine::Engine(const ExecutionConfig& config)
     : config_(config), threads_(config.resolved_threads()) {
   config_.validate();
@@ -54,15 +45,12 @@ Engine::Engine(const ExecutionConfig& config)
     owned_pool_.emplace(threads_);
     pool_ = &*owned_pool_;
   }
-  if (config_.use_congruence_cache) {
-    cache_.emplace(config_.congruence_quantum, config_.cache_max_entries);
-  }
 }
 
 Engine::~Engine() {
   // unique_ptr order alone would do (scheduler_ is declared last), but be
   // explicit: the scheduler's destructor drains every submitted run while
-  // the pool and cache are still alive.
+  // the pool is still alive.
   scheduler_.reset();
 }
 
@@ -103,65 +91,49 @@ void Engine::drain() {
   if (scheduler != nullptr) scheduler->drain();
 }
 
+bem::CongruenceCacheStats Engine::cache_stats() const {
+  const std::scoped_lock lock(table_mutex_);
+  return {.hits = session_hits_,
+          .misses = session_misses_,
+          .entries = table_ != nullptr ? table_->stats().entries : 0};
+}
+
 void Engine::clear_cache() {
-  std::unique_lock lock(gate_mutex_);
-  // Never drop entries under a run that is replaying them.
-  gate_cv_.wait(lock, [&] { return active_assemblies_ == 0; });
-  if (cache_) cache_->clear();
-  cache_fingerprint_.reset();
+  const std::scoped_lock lock(table_mutex_);
+  if (table_ != nullptr) {
+    table_ = std::make_shared<bem::CongruenceCache>(config_.congruence_quantum,
+                                                    config_.cache_max_entries);
+  }
 }
 
-void Engine::begin_assembly(const std::optional<std::uint64_t>& fingerprint,
-                            PhaseReport* run_report) {
-  if (!cache_ || !fingerprint.has_value()) {
-    // No shared warm state to keep coherent: admit unconditionally (the
-    // counter still balances end_assembly and keeps clear_cache honest).
-    const std::scoped_lock lock(gate_mutex_);
-    ++active_assemblies_;
-    return;
-  }
-  std::unique_lock lock(gate_mutex_);
-  // A matching run joins the in-flight set immediately; a physics change
-  // waits for the set to drain, then clears — so entries of the old physics
-  // are never dropped (or replayed) mid-assembly.
-  const auto admissible = [&] {
-    return active_assemblies_ == 0 ||
-           (cache_fingerprint_.has_value() && *cache_fingerprint_ == *fingerprint);
-  };
-  double wait_seconds = 0.0;
-  if (!admissible()) {
-    const WallTimer wait_timer;
-    gate_cv_.wait(lock, admissible);
-    wait_seconds = wait_timer.seconds();
-  }
-  bool dropped = false;
-  if (!cache_fingerprint_.has_value() || *cache_fingerprint_ != *fingerprint) {
-    // Different physics, same geometry classes would replay wrong blocks:
-    // drop the warm entries. The hit/miss counters survive — they are
-    // session statistics; per-run deltas are tallied inside each assembly.
-    cache_->drop_entries();
-    cache_fingerprint_ = *fingerprint;
-    dropped = true;
-  }
-  ++active_assemblies_;
-  lock.unlock();
-  // Guard-cost accounting, outside the gate lock (the report has its own).
-  // Pipelined runs pay into their own report (merged into the session sink
-  // on completion); the blocking assemble path pays the session directly.
-  PhaseReport& sink = run_report != nullptr ? *run_report : report_;
-  if (dropped) sink.add_counter(kCacheDropsCounter, 1.0);
-  if (wait_seconds > 0.0) sink.add_counter(kGateWaitSecondsCounter, wait_seconds);
-}
-
-void Engine::end_assembly() {
+std::shared_ptr<bem::CongruenceCache> Engine::warm_table(const bem::BemModel& model,
+                                                         const bem::AssemblyOptions& options,
+                                                         PhaseReport& sink) {
+  if (!config_.use_congruence_cache) return nullptr;
+  const std::uint64_t fingerprint = physics_fingerprint(model.soil(), options);
+  std::shared_ptr<bem::CongruenceCache> table;
   {
-    const std::scoped_lock lock(gate_mutex_);
-    --active_assemblies_;
+    const std::scoped_lock lock(table_mutex_);
+    if (table_ != nullptr && table_fingerprint_ == fingerprint) return table_;
+    // Different physics, same geometry classes would replay wrong blocks:
+    // start a fresh table. Runs still assembling on the old one keep it
+    // alive until they finish.
+    table_ = std::make_shared<bem::CongruenceCache>(config_.congruence_quantum,
+                                                    config_.cache_max_entries);
+    table_fingerprint_ = fingerprint;
+    table = table_;
   }
-  gate_cv_.notify_all();
+  sink.add_counter(kCacheDropsCounter, 1.0);
+  return table;
 }
 
-bem::AssemblyExecution Engine::assembly_execution() {
+void Engine::add_cache_use(const bem::CongruenceCacheStats& run_delta) {
+  const std::scoped_lock lock(table_mutex_);
+  session_hits_ += run_delta.hits;
+  session_misses_ += run_delta.misses;
+}
+
+bem::AssemblyExecution Engine::assembly_execution() const {
   bem::AssemblyExecution execution;
   execution.num_threads = threads_;
   execution.pool = config_.backend == bem::Backend::kThreadPool ? pool_ : nullptr;
@@ -170,7 +142,6 @@ bem::AssemblyExecution Engine::assembly_execution() {
   execution.backend = config_.backend;
   execution.storage = config_.storage;
   execution.measure_column_costs = config_.measure_column_costs;
-  execution.cache = cache_ ? &*cache_ : nullptr;
   return execution;
 }
 
@@ -187,7 +158,7 @@ bem::SolverOptions Engine::solver_options() const {
           .cg_max_iterations = config_.cg_max_iterations};
 }
 
-bem::AnalysisExecution Engine::analysis_execution() {
+bem::AnalysisExecution Engine::analysis_execution() const {
   bem::AnalysisExecution execution;
   execution.assembly = assembly_execution();
   execution.solver = solver_options();
@@ -197,13 +168,11 @@ bem::AnalysisExecution Engine::analysis_execution() {
 
 bem::AssemblyResult Engine::assemble(const bem::BemModel& model,
                                      const bem::AssemblyOptions& options) {
-  std::optional<std::uint64_t> fingerprint;
-  if (cache_) fingerprint = physics_fingerprint(model.soil(), options);
-  bem::AssemblyResult result;
-  {
-    const AssemblyGate gate(*this, fingerprint);
-    result = bem::assemble(model, options, assembly_execution());
-  }
+  bem::AssemblyExecution execution = assembly_execution();
+  const std::shared_ptr<bem::CongruenceCache> table = warm_table(model, options, report_);
+  execution.cache = table.get();
+  bem::AssemblyResult result = bem::assemble(model, options, execution);
+  if (table != nullptr) add_cache_use(result.cache_stats);
   // The matrix's store is created inside this call, so its cumulative
   // counters are exactly this assembly's delta — fold them in like the
   // analyze/factor paths do.

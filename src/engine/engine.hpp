@@ -6,10 +6,14 @@
 // everything those runs should share instead of re-creating per call:
 //
 //   * one par::ThreadPool, spawned once and reused by assembly and solve;
-//   * one warm bem::CongruenceCache, so candidate k replays the elemental
-//     blocks candidates 1..k-1 already integrated (the cache is dropped
-//     automatically when the physics fingerprint changes — deferred, under
-//     pipelining, until every in-flight assembly drains);
+//   * one warm bem::CongruenceCache table for the current physics, so
+//     candidate k replays the elemental blocks candidates 1..k-1 already
+//     integrated. Each assembly takes the table of its own physics
+//     fingerprint: the current table when the fingerprint matches, a fresh
+//     one (which becomes current) when it does not. Runs still assembling
+//     under the old physics keep their table alive through shared
+//     ownership, so a physics change never waits for them and no block is
+//     ever replayed across physics;
 //   * one PhaseReport sink accumulating Table 6.1 style timings and the
 //     named counters (cache hits, factorizations, solved right-hand sides)
 //     across the whole session — thread-safe, so concurrent runs merge in
@@ -30,7 +34,6 @@
 // submit() them instead of blocking one by one.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -53,36 +56,9 @@ namespace ebem::engine {
 /// Order-dependent hash of everything the elemental blocks depend on besides
 /// pair geometry: the soil stack plus integrator/series/Hankel options.
 /// Geometry congruence is the cache key's job; this pins the physics the key
-/// deliberately leaves out. The scheduler fingerprints every submitted run
-/// with it to gate the warm cache.
+/// deliberately leaves out. Every assembly picks its warm-cache table by it.
 [[nodiscard]] std::uint64_t physics_fingerprint(const soil::LayeredSoil& soil,
                                                 const bem::AssemblyOptions& options);
-
-class Engine;
-
-/// RAII admission to an Engine's cache-coherent assembly phase: the
-/// constructor blocks until the run's physics fingerprint is admissible
-/// (draining in-flight assemblies and dropping stale cache entries when the
-/// physics changed — see Engine::begin_assembly), the destructor releases
-/// the slot on every exit path. Shared by Engine::assemble and the
-/// scheduler's assemble stage so the active-assembly counter can never go
-/// unbalanced.
-class AssemblyGate {
- public:
-  /// `run_report` (optional) receives the fingerprint-guard cost counters —
-  /// cache drops and gate wait seconds — instead of the engine's session
-  /// report, so per-run consumers (scheduler futures, campaign rollups) see
-  /// the guard cost they actually paid. The scheduler merges run reports
-  /// into the session sink on completion, so the totals still converge.
-  AssemblyGate(Engine& engine, const std::optional<std::uint64_t>& fingerprint,
-               PhaseReport* run_report = nullptr);
-  ~AssemblyGate();
-  AssemblyGate(const AssemblyGate&) = delete;
-  AssemblyGate& operator=(const AssemblyGate&) = delete;
-
- private:
-  Engine& engine_;
-};
 
 class Engine {
  public:
@@ -103,15 +79,13 @@ class Engine {
   /// Shared worker pool; null when the engine runs serially.
   [[nodiscard]] par::ThreadPool* pool() { return pool_; }
 
-  /// Warm congruence cache; null when disabled by the config.
-  [[nodiscard]] bem::CongruenceCache* cache() { return cache_ ? &*cache_ : nullptr; }
-  [[nodiscard]] bem::CongruenceCacheStats cache_stats() const {
-    return cache_ ? cache_->stats() : bem::CongruenceCacheStats{};
-  }
-  /// Drop all warm cache entries (the physics-fingerprint guard does this
-  /// automatically; manual calls are only needed to re-measure cold starts).
-  /// Waits for in-flight assemblies to drain first — entries are never
-  /// dropped under a run that is replaying them.
+  /// Session congruence-cache counters: hits and misses summed from every
+  /// assembly's exact per-run tally (they only grow), and `entries` of the
+  /// current table. Zeros when the cache is disabled by the config.
+  [[nodiscard]] bem::CongruenceCacheStats cache_stats() const;
+  /// Start a fresh, empty table for the current physics (a physics change
+  /// does this automatically; manual calls are only needed to re-measure
+  /// cold starts). Assemblies in flight finish on the table they hold.
   void clear_cache();
 
   /// Session-cumulative phase timings and counters. Thread-safe sink:
@@ -125,8 +99,9 @@ class Engine {
   /// carries the AnalysisResult, this run's PhaseReport and its exact
   /// congruence-cache delta. Independent submits pipeline: up to
   /// config().pipeline_width runs have stages in flight at once, sharing
-  /// the engine's pool and warm cache. Per-run `overrides` (storage budget,
-  /// residual measurement) are validated here, on the submitting thread.
+  /// the engine's pool and warm-cache table. Per-run `overrides` (storage
+  /// budget, residual measurement) are validated here, on the submitting
+  /// thread.
   [[nodiscard]] RunFuture submit(bem::BemModel model, const bem::AnalysisOptions& options = {},
                                  const SubmitOptions& overrides = {});
 
@@ -150,7 +125,8 @@ class Engine {
 
   // --- blocking calls -----------------------------------------------------
 
-  /// Assemble the Galerkin system against the shared pool and warm cache.
+  /// Assemble the Galerkin system against the shared pool and the warm
+  /// table of the model's physics.
   [[nodiscard]] bem::AssemblyResult assemble(const bem::BemModel& model,
                                              const bem::AssemblyOptions& options = {});
 
@@ -176,28 +152,29 @@ class Engine {
   [[nodiscard]] FactoredSystem factor(const bem::BemModel& model,
                                       const bem::AnalysisOptions& options = {});
 
-  /// Resolved per-phase execution plans (what the config means in bem
-  /// terms); exposed so benches and tests can drive the low-level entry
-  /// points with engine-consistent plumbing. Note: driving bem::assemble
-  /// directly with these bypasses the physics-fingerprint cache guard —
-  /// keep the physics fixed, or go through Engine::assemble/analyze.
-  [[nodiscard]] bem::AssemblyExecution assembly_execution();
+  /// Resolved solve plans (what the config means in bem terms); exposed so
+  /// benches and tests can drive the low-level entry points with
+  /// engine-consistent plumbing.
   [[nodiscard]] bem::SolveExecution solve_execution() const;
   [[nodiscard]] bem::SolverOptions solver_options() const;
-  [[nodiscard]] bem::AnalysisExecution analysis_execution();
 
  private:
-  friend class AssemblyGate;
-  friend class Study;  ///< for the copy-free borrowed submits of its shims
+  friend class Scheduler;  ///< takes execution plans and warm tables per run
+  friend class Study;      ///< for the copy-free borrowed submits of its shims
 
-  /// Admission to the cache-coherent assembly phase (no-op when the cache
-  /// is off). A run whose `fingerprint` differs from the cache's current
-  /// physics waits until the in-flight assemblies drain, then drops the
-  /// stale entries and installs its fingerprint — the deferred clear the
-  /// pipelining contract requires. Balanced by end_assembly(); always taken
-  /// through the AssemblyGate RAII.
-  void begin_assembly(const std::optional<std::uint64_t>& fingerprint, PhaseReport* run_report);
-  void end_assembly();
+  /// Per-phase execution plans without a cache: each assembly sets its own
+  /// warm table (see warm_table).
+  [[nodiscard]] bem::AssemblyExecution assembly_execution() const;
+  [[nodiscard]] bem::AnalysisExecution analysis_execution() const;
+
+  /// The warm table for an assembly of `model` under `options`: the current
+  /// table when the physics fingerprint matches, otherwise a fresh table
+  /// that becomes current and counts one kCacheDropsCounter on `sink`. Null
+  /// when the cache is disabled. The caller holds it for its assembly only.
+  [[nodiscard]] std::shared_ptr<bem::CongruenceCache> warm_table(
+      const bem::BemModel& model, const bem::AssemblyOptions& options, PhaseReport& sink);
+  /// Fold one assembly's exact hit/miss tally into the session totals.
+  void add_cache_use(const bem::CongruenceCacheStats& run_delta);
 
   /// The lazily created stage scheduler (spawning executor threads only
   /// once something actually submits).
@@ -207,14 +184,15 @@ class Engine {
   std::size_t threads_;
   std::optional<par::ThreadPool> owned_pool_;
   par::ThreadPool* pool_ = nullptr;
-  std::optional<bem::CongruenceCache> cache_;
   PhaseReport report_;
 
-  // Cache-coherence gate (see begin_assembly).
-  std::mutex gate_mutex_;
-  std::condition_variable gate_cv_;
-  std::size_t active_assemblies_ = 0;
-  std::optional<std::uint64_t> cache_fingerprint_;
+  // Warm cache (see warm_table): the current table, its physics and the
+  // session totals, all under one plain mutex.
+  mutable std::mutex table_mutex_;
+  std::shared_ptr<bem::CongruenceCache> table_;
+  std::uint64_t table_fingerprint_ = 0;
+  std::size_t session_hits_ = 0;
+  std::size_t session_misses_ = 0;
 
   // Declared last: destroyed first, so the scheduler drains while the pool
   // and cache above are still alive.

@@ -61,8 +61,9 @@ struct ExecutionConfig {
   // --- congruence cache --------------------------------------------------
   /// Keep one warm congruence cache across every assembly the Engine runs:
   /// nearby systems (design ladders, estimation sweeps) replay each other's
-  /// elemental blocks. The Engine drops the cache automatically whenever
-  /// the physics fingerprint (soil + integrator/series options) changes.
+  /// elemental blocks. The Engine starts a fresh table automatically
+  /// whenever the physics fingerprint (soil + integrator/series options)
+  /// changes.
   bool use_congruence_cache = true;
   double congruence_quantum = bem::kDefaultCongruenceQuantum;
   std::size_t cache_max_entries = bem::CongruenceCache::kDefaultMaxEntries;

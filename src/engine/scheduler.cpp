@@ -1,16 +1,13 @@
 #include "src/engine/scheduler.hpp"
 
 #include <algorithm>
-#include <span>
 #include <utility>
 
 #include "src/common/error.hpp"
 #include "src/common/timer.hpp"
 #include "src/engine/counters.hpp"
 #include "src/engine/engine.hpp"
-#include "src/la/blas1.hpp"
 #include "src/la/cholesky.hpp"
-#include "src/la/permutation.hpp"
 #include "src/parallel/thread_pool.hpp"
 
 namespace ebem::engine {
@@ -32,11 +29,12 @@ struct RunState {
   const bem::BemModel* model = nullptr;  ///< owned_model or the borrowed one
   bem::AnalysisOptions options;
   bem::AnalysisExecution execution;  ///< engine plumbing + per-run overrides
-  std::optional<std::uint64_t> fingerprint;  ///< set when the warm cache is on
   std::uint64_t sequence = 0;
   Engine* engine = nullptr;
 
-  // Stage products, handed from stage to stage.
+  // Stage products, handed from stage to stage. `table` is the warm-cache
+  // table of the run's physics, held from dequeue to the end of assembly.
+  std::shared_ptr<bem::CongruenceCache> table;
   std::optional<bem::AssemblyResult> assembled;
   std::optional<la::Cholesky> factor;
 
@@ -114,21 +112,19 @@ bool cancel_run(RunState& run) {
 }
 
 void stage_assemble(RunState& run) {
+  if (run.error != nullptr) std::rethrow_exception(run.error);  // from start_run
   WallTimer wall;
   CpuTimer cpu;
-  bem::AssemblyResult assembled;
-  {
-    // Admission: if this run's physics differs from the warm cache's, wait
-    // for in-flight assemblies to drain, then the stale entries are dropped
-    // before ours starts. Factor/solve stages never touch the cache, so
-    // they keep pipelining across the physics change.
-    const AssemblyGate gate(*run.engine, run.fingerprint, &run.report);
-    assembled = bem::assemble(*run.model, run.options.assembly, run.execution.assembly);
-  }
+  // Released at the end of this stage on every path: factor/solve never
+  // touch the cache, so they keep pipelining across physics changes.
+  const std::shared_ptr<bem::CongruenceCache> table = std::move(run.table);
+  bem::AssemblyExecution execution = run.execution.assembly;
+  execution.cache = table.get();
+  bem::AssemblyResult assembled = bem::assemble(*run.model, run.options.assembly, execution);
   run.report.add(Phase::kMatrixGeneration, wall.seconds(), cpu.seconds());
-  if (run.execution.assembly.cache != nullptr) {
+  if (table != nullptr) {
     // The assembly tallied its own lookups, so this is exact even with other
-    // runs hitting the shared cache concurrently.
+    // runs hitting the same table concurrently.
     run.cache_delta = assembled.cache_stats;
     run.report.add_counter(bem::kCacheHitsCounter, static_cast<double>(run.cache_delta.hits));
     run.report.add_counter(bem::kCacheMissesCounter,
@@ -167,41 +163,15 @@ void stage_solve(RunState& run) {
   WallTimer wall;
   CpuTimer cpu;
   bem::SolveStats stats;
-  std::vector<double> sigma_hat;
-  if (run.execution.solver.kind == bem::SolverKind::kCholesky) {
-    // The factor stage already built L; substitute and optionally measure
-    // the achieved residual — the same arithmetic bem::solve runs, split at
-    // the factorization so the O(N^3) part pipelined separately. Under a
-    // geometric ordering the factor and matrix live in internal order:
-    // gather the rhs, do everything there, scatter the solution at the end.
-    const bem::SolveExecution& exec = run.execution.solve;
-    const la::Permutation* ordering = system.ordering.get();
-    const la::Cholesky& factor = *run.factor;
-    std::vector<double> gathered_rhs;
-    std::span<const double> rhs = system.rhs;
-    if (ordering != nullptr) {
-      gathered_rhs = ordering->gather(system.rhs);
-      rhs = gathered_rhs;
-    }
-    std::vector<double> x = factor.solve(rhs);
-    stats.iterations = 0;
-    stats.factor_tiles = factor.tile_stats();
-    if (exec.measure_residual) {
-      std::vector<double> r(rhs.begin(), rhs.end());
-      std::vector<double> ax(rhs.size());
-      system.matrix.multiply(x, ax, exec.pool, exec.matvec_parallel_cutoff);
-      la::axpy(-1.0, ax, r);
-      const double b_norm = la::nrm2(rhs);
-      stats.relative_residual = b_norm > 0.0 ? la::nrm2(r) / b_norm : 0.0;
-    }
-    sigma_hat = ordering != nullptr ? ordering->scatter(x) : std::move(x);
-  } else {
-    // Iterative path: no factor stage ran; this is exactly the blocking
-    // solve (including its permutation boundary).
-    bem::SolveExecution exec = run.execution.solve;
-    exec.ordering = system.ordering.get();
-    sigma_hat = bem::solve(system.matrix, system.rhs, run.execution.solver, exec, &stats);
-  }
+  bem::SolveExecution exec = run.execution.solve;
+  exec.ordering = system.ordering.get();
+  // The direct path's factor stage already built L, so only the
+  // substitution half of bem::solve is left; the iterative path had no
+  // factor stage and runs the blocking solve as is.
+  std::vector<double> sigma_hat =
+      run.factor.has_value()
+          ? bem::solve_with_factor(*run.factor, system.matrix, system.rhs, exec, &stats)
+          : bem::solve(system.matrix, system.rhs, run.execution.solver, exec, &stats);
   run.report.add(Phase::kLinearSolve, wall.seconds(), cpu.seconds());
 
   wall.reset();
@@ -332,9 +302,6 @@ std::shared_ptr<RunState> Scheduler::make_run(std::optional<bem::BemModel> owned
   if (overrides.measure_residual.has_value()) {
     run->execution.solve.measure_residual = *overrides.measure_residual;
   }
-  if (engine_.cache() != nullptr) {
-    run->fingerprint = physics_fingerprint(run->model->soil(), options.assembly);
-  }
   run->engine = &engine_;
 
   {
@@ -411,30 +378,39 @@ void Scheduler::executor_loop() {
       std::pop_heap(ready_.begin(), ready_.end(), task_before);
       task = std::move(ready_.back());
       ready_.pop_back();
+      if (task.stage == kStageAssemble && !start_run(*task.run)) {
+        retire_locked();  // a cancel won the race: nothing ran, nothing to merge
+        continue;
+      }
     }
     execute_stage(task);
   }
 }
 
-void Scheduler::execute_stage(const Task& task) {
-  RunState& run = *task.run;
-  if (task.stage == kStageAssemble) {
-    // First stage: claim the run (or honor a cancel that won the race).
+bool Scheduler::start_run(RunState& run) {
+  {
     const std::scoped_lock lock(run.mutex);
-    if (run.status == RunStatus::kCancelled) {
-      // finish_run would re-notify and must not merge anything; just settle
-      // the bookkeeping.
-      const std::scoped_lock qlock(mutex_);
-      retire_locked();
-      return;
-    }
+    if (run.status == RunStatus::kCancelled) return false;
     run.status = RunStatus::kRunning;
   }
+  // Assemble tasks leave the queue in submission order, and this runs under
+  // the queue lock: runs take their tables — and count their physics
+  // switches — in submission order, whatever the executors' timing.
+  try {
+    run.table = engine_.warm_table(*run.model, run.options.assembly, run.report);
+  } catch (...) {
+    run.error = std::current_exception();  // stage_assemble fails the run with it
+  }
+  return true;
+}
 
+void Scheduler::execute_stage(const Task& task) {
+  RunState& run = *task.run;
   try {
     switch (task.stage) {
       case kStageAssemble:
         stage_assemble(run);
+        engine_.add_cache_use(run.cache_delta);  // zeros when the cache is off
         break;
       case kStageFactor:
         stage_factor(run);

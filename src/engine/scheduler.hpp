@@ -22,12 +22,19 @@
 // bounds how many assembled matrices are alive at once (~pipeline_width).
 //
 // Concurrency contract with the engine's warm resources:
-//  * the congruence cache is shared by concurrent assemblies (it is a
-//    sharded, thread-safe map; per-run hit/miss deltas are tallied inside
-//    each assembly, not diffed from the shared counters);
-//  * a submitted run whose physics fingerprint differs from the cache's
-//    current physics waits until in-flight assemblies drain, then the stale
-//    entries are dropped — never mid-assembly (see Engine::begin_assembly);
+//  * each run takes the warm-cache table of its own physics fingerprint when
+//    its assemble stage leaves the queue, and drops it when that stage
+//    ends. Runs of the same physics share one table (a sharded, thread-safe
+//    map; per-run hit/miss deltas are tallied inside each assembly, not
+//    diffed from shared counters). A run of different physics gets a fresh
+//    table and makes it current, while runs still assembling on the old
+//    table keep it alive — nobody waits, nothing replays across physics,
+//    and at most pipeline_width + 1 tables are alive at once (plus one per
+//    concurrent blocking Engine::assemble call);
+//  * tables are taken under the queue lock, in submission order, so the
+//    physics switches a session counts do not depend on executor timing
+//    (lock order: queue mutex, then run mutex, then the engine's table
+//    mutex);
 //  * per-run PhaseReports merge into the engine's session report through
 //    PhaseReport's internally locked merge, so no counter increment is lost.
 #pragma once
@@ -211,6 +218,9 @@ class Scheduler {
                                              const SubmitOptions& overrides, bool factor_only);
   void enqueue(Task task);
   void executor_loop();
+  /// First stage, under mutex_: claim the run (false when a cancel won the
+  /// race) and take its warm-cache table.
+  bool start_run(detail::RunState& run);
   void execute_stage(const Task& task);
   void finish_run(const std::shared_ptr<detail::RunState>& run, RunStatus status);
 

@@ -16,7 +16,8 @@ std::string to_string(const Schedule& schedule) {
       break;
   }
   if (schedule.chunk > 0) {
-    name += "," + std::to_string(schedule.chunk);
+    name += ',';
+    name += std::to_string(schedule.chunk);
   }
   return name;
 }

@@ -6,9 +6,8 @@
 // physics. The engines share one par::ThreadPool — compute is pooled,
 // *state* is not — so tenant A's design ladder keeps replaying its warm
 // cache no matter how often tenant B's soil churn would have invalidated a
-// shared one. (The Engine's physics-fingerprint guard drops its cache on
-// any physics change; with one engine per tenant that guard only ever sees
-// that tenant's physics.)
+// shared one. (An Engine starts a fresh warm table on any physics change;
+// with one engine per tenant only that tenant's physics ever switch it.)
 //
 // Each session also carries the tenant's declared quotas (admission.hpp
 // enforces them), its admission ledger, and a CostAccount: the cumulative

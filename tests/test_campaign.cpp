@@ -464,7 +464,7 @@ TEST(Runner, SoilSweepReportsPhysicallyCoherentDistributions) {
   EXPECT_NEAR(result.gpr.p95(), 100.0 * result.resistance.p95(),
               1e-9 * result.gpr.p95());
 
-  // Soil sweeps are the fingerprint guard's worst case: every scenario
+  // Soil sweeps are the warm cache's worst case: every scenario
   // changed the physics, and the cost is visible on the campaign rollup.
   EXPECT_DOUBLE_EQ(result.phases.counter(engine::kCacheDropsCounter), 12.0);
   EXPECT_GT(result.phases.counter(bem::kCacheMissesCounter), 0.0);

@@ -57,7 +57,7 @@ TEST(Timers, WallTimerAdvances) {
 TEST(Timers, CpuTimerMeasuresWork) {
   CpuTimer timer;
   volatile double sink = 0.0;
-  for (int i = 0; i < 2000000; ++i) sink += static_cast<double>(i) * 1e-9;
+  for (int i = 0; i < 2000000; ++i) sink = sink + static_cast<double>(i) * 1e-9;
   EXPECT_GT(timer.seconds(), 0.0);
 }
 

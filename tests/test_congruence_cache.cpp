@@ -483,8 +483,16 @@ TEST(PlannedAssembly, BitwiseIdenticalAcrossThreadCountsColdAndWarm) {
       EXPECT_EQ(warm.cache_stats.hits, warm.element_pairs) << label;
     }
   }
+}
 
-  // The OpenMP backend runs the same plan with OpenMP thread ids.
+TEST(PlannedAssembly, BitwiseIdenticalOnTheOpenMpBackend) {
+  // The OpenMP backend runs the same plan with OpenMP thread ids. A test of
+  // its own, so ThreadSanitizer (blind to libgomp's synchronisation) can
+  // run the pool-backend one above.
+  const BemModel model = rodded_model();
+  CongruenceCache reference_cache;
+  const AssemblyResult cold_reference = assemble(model, {}, {.cache = &reference_cache});
+  const AssemblyResult warm_reference = assemble(model, {}, {.cache = &reference_cache});
   CongruenceCache omp_cache;
   AssemblyExecution omp;
   omp.num_threads = 4;

@@ -1,5 +1,5 @@
 // engine:: subsystem: ExecutionConfig validation, Engine warm-cache
-// behaviour across analyses (including the physics-fingerprint guard),
+// behaviour across analyses (including the per-physics tables),
 // FactoredSystem multi-RHS parity and factorization accounting, and the
 // Study session that design_search style ladders run on.
 #include <gtest/gtest.h>
@@ -201,9 +201,29 @@ TEST(Engine, CacheStaysWarmAcrossRepeatedAnalyses) {
   EXPECT_GT(second.hits, first.hits);
 }
 
+TEST(Engine, ClearCacheStartsAFreshTableAndKeepsTheSessionTotals) {
+  const bem::BemModel model = bench_model(3);
+  Engine engine;
+  (void)engine.analyze(model);
+  const bem::CongruenceCacheStats before = engine.cache_stats();
+  ASSERT_GT(before.entries, 0u);
+
+  engine.clear_cache();
+  EXPECT_EQ(engine.cache_stats().entries, 0u);
+  EXPECT_EQ(engine.cache_stats().misses, before.misses);
+
+  // Same physics: the fresh table is current, so the re-run integrates
+  // everything again without counting a physics switch.
+  (void)engine.analyze(model);
+  const bem::CongruenceCacheStats after = engine.cache_stats();
+  EXPECT_EQ(after.misses, 2 * before.misses);
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_EQ(engine.report().counter(kCacheDropsCounter), 1.0);
+}
+
 TEST(Engine, PhysicsChangeDropsTheWarmCache) {
   // Same geometry classes under different soil would replay wrong blocks;
-  // the fingerprint guard must clear the cache instead.
+  // the run must start a fresh table instead.
   geom::RectGridSpec spec;
   spec.length_x = 20.0;
   spec.length_y = 20.0;

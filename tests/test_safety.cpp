@@ -68,7 +68,7 @@ TEST(SafetyLimits, HeavierBodyTolerance) {
 TEST(SafetyLimits, InvalidDurationRejected) {
   SafetyCriteria criteria;
   criteria.fault_duration = 0.0;
-  EXPECT_THROW(tolerable_touch_voltage(criteria), ebem::InvalidArgument);
+  EXPECT_THROW((void)tolerable_touch_voltage(criteria), ebem::InvalidArgument);
 }
 
 struct Solved {

@@ -1,8 +1,8 @@
 // engine::Scheduler — asynchronous submit/future runs: future lifecycle and
 // out-of-order consumption, parity of the pipelined path against the
 // blocking and serial references at every thread count, warm-cache
-// correctness under concurrent submits (shared hits; deferred
-// physics-fingerprint clear), per-run override validation at submit time,
+// correctness under concurrent submits (shared hits; one table per
+// physics, even with two physics in flight), per-run override validation at submit time,
 // error propagation and cancellation, and the thread-safety of the
 // PhaseReport sink the concurrent runs merge into.
 #include <gtest/gtest.h>
@@ -251,12 +251,11 @@ TEST(Scheduler, ConcurrentSubmitsWithTheSamePhysicsShareTheWarmCache) {
   EXPECT_EQ(third.cache_delta().hits, pairs);
 }
 
-TEST(Scheduler, PhysicsChangeBetweenSubmitsDrainsInFlightRunsBeforeClearing) {
+TEST(Scheduler, PhysicsChangeBetweenSubmitsGivesTheNewRunAFreshTable) {
   // Same geometry under two different soils: replaying the uniform-soil
   // blocks for the layered run would be grossly wrong, so the second
-  // submit's assembly must wait out the first and then drop the stale
-  // entries — while both runs still complete and match their cold
-  // references.
+  // submit's assembly must start a fresh table — while the first run keeps
+  // its own, and both runs complete and match their cold references.
   geom::RectGridSpec spec;
   spec.length_x = 20.0;
   spec.length_y = 20.0;
@@ -277,15 +276,56 @@ TEST(Scheduler, PhysicsChangeBetweenSubmitsDrainsInFlightRunsBeforeClearing) {
   EXPECT_NEAR(warm_layered.get().equivalent_resistance, cold_layered.equivalent_resistance,
               1e-12 * cold_layered.equivalent_resistance);
 
-  // The clear happened between the runs, not under the first one: only the
-  // layered physics' classes survive (assemblies dispatch in submission
-  // order, so the drop deterministically falls between them).
+  // The layered run's table is the current one, holding only the layered
+  // physics' classes (runs take their tables in submission order).
   bem::CongruenceCache cold_cache;
   const bem::AssemblyResult cold = bem::assemble(layered, {}, {.cache = &cold_cache});
   EXPECT_EQ(engine.cache_stats().entries, cold.cache_stats.entries);
   // And the layered run really did start cold (no cross-physics replays).
   EXPECT_EQ(warm_layered.get().cache_stats.hits,
             cold.cache_stats.hits);
+}
+
+TEST(Scheduler, AlternatingPhysicsInFlightReplaysNothingAcrossSoils) {
+  // Two soils on one mesh, submitted A, B, A, B, ...: every submit switches
+  // the physics, and with two runs in flight one physics assembles while
+  // the other's table is still held. Every result must equal its own cold
+  // cache-on reference to the bit (a block replayed across soils would
+  // show), and each switch must count exactly one drop.
+  geom::RectGridSpec spec;
+  spec.length_x = 20.0;
+  spec.length_y = 20.0;
+  spec.cells_x = 4;
+  spec.cells_y = 4;
+  const geom::Mesh mesh = geom::Mesh::build(geom::make_rect_grid(spec));
+  const std::vector<bem::BemModel> models = {
+      bem::BemModel(mesh, soil::LayeredSoil::uniform(0.02)),
+      bem::BemModel(mesh, soil::LayeredSoil::two_layer(0.005, 0.016, 1.0))};
+
+  ExecutionConfig config;
+  config.pipeline_width = 2;
+  config.num_threads = 4;
+  std::vector<bem::AnalysisResult> cold;
+  for (const bem::BemModel& model : models) cold.push_back(Engine(config).analyze(model));
+
+  constexpr std::size_t kRounds = 50;
+  constexpr std::size_t kSubmits = 8;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    Engine engine(config);
+    std::vector<RunFuture> futures;
+    for (std::size_t k = 0; k < kSubmits; ++k) futures.push_back(engine.submit(models[k % 2]));
+    for (std::size_t k = 0; k < kSubmits; ++k) {
+      const bem::AnalysisResult& result = futures[k].get();
+      const bem::AnalysisResult& reference = cold[k % 2];
+      ASSERT_EQ(result.equivalent_resistance, reference.equivalent_resistance)
+          << "round " << round << " run " << k;
+      ASSERT_EQ(result.sigma, reference.sigma) << "round " << round << " run " << k;
+      ASSERT_EQ(futures[k].report().counter(kCacheDropsCounter), 1.0)
+          << "round " << round << " run " << k;
+    }
+    ASSERT_EQ(engine.report().counter(kCacheDropsCounter), static_cast<double>(kSubmits))
+        << "round " << round;
+  }
 }
 
 TEST(Scheduler, FingerprintSeparatesSoilsAndNumerics) {

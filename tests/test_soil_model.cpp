@@ -63,11 +63,11 @@ TEST(LayeredSoil, Validation) {
 
 TEST(LayeredSoil, LayerOfRejectsAirPoints) {
   const LayeredSoil soil = LayeredSoil::uniform(0.01);
-  EXPECT_THROW(soil.layer_of(1.0), ebem::InvalidArgument);
+  EXPECT_THROW((void)soil.layer_of(1.0), ebem::InvalidArgument);
 }
 
 TEST(LayeredSoil, ReflectionCoefficientRequiresTwoLayers) {
-  EXPECT_THROW(LayeredSoil::uniform(0.01).reflection_coefficient(), ebem::InvalidArgument);
+  EXPECT_THROW((void)LayeredSoil::uniform(0.01).reflection_coefficient(), ebem::InvalidArgument);
 }
 
 }  // namespace
